@@ -73,14 +73,16 @@ func BenchmarkPollution(b *testing.B)          { runExperiment(b, "pollution") }
 // implementation going quadratic independently of the experiment
 // tables it feeds.
 func BenchmarkPolicy(b *testing.B) {
-	run := func(mutate func(*Config)) func(*testing.B) {
+	run := func(settings map[string]string) func(*testing.B) {
 		return func(b *testing.B) {
 			// Long enough per op that the 10% regression gate measures
 			// the simulator, not scheduler jitter.
 			cfg := TunedConfig()
 			cfg.MaxInstrs = 500_000
 			cfg.WarmupInstrs = 0
-			mutate(&cfg)
+			if err := cfg.Apply(settings); err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
 				gen, err := Workload("swim", 0, false)
 				if err != nil {
@@ -92,11 +94,12 @@ func BenchmarkPolicy(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sched=fcfs", run(func(c *Config) { c.SchedPolicy = "fcfs" }))
-	b.Run("sched=frfcfs", run(func(c *Config) { c.SchedPolicy = "frfcfs" }))
-	b.Run("sched=frfcfs-cap", run(func(c *Config) { c.SchedPolicy = "frfcfs-cap"; c.ReorderWindow = 8 }))
-	b.Run("timing=tiered", run(func(c *Config) { c.BankTiming = "tiered" }))
-	b.Run("timing=rowreuse", run(func(c *Config) { c.BankTiming = "rowreuse" }))
+	for _, name := range []string{"fcfs", "frfcfs", "frfcfs-cap"} {
+		b.Run("sched="+name, run(map[string]string{"sched_policy": name}))
+	}
+	for _, name := range []string{"tiered", "rowreuse"} {
+		b.Run("timing="+name, run(map[string]string{"bank_timing": name}))
+	}
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed

@@ -1,10 +1,11 @@
-// Command sweep runs one benchmark across a parameter sweep and emits
-// CSV, for plotting or regression tracking.
+// Command sweep runs one benchmark across a sweep of one configuration
+// knob (-param: any knob flag, as memsim -h lists them) and emits CSV.
 //
-//	sweep -bench swim -param block -values 64,128,256,512,1024
+//	sweep -bench swim -param l2_block_bytes -values 64,128,256,512,1024
 //	sweep -bench mcf -param channels -values 1,2,4,8 -prefetch
-//	sweep -bench applu -param l2mb -values 1,2,4,8,16
-//	sweep -bench facerec -param region -values 1024,2048,4096,8192 -prefetch
+//	sweep -bench applu -param l2_size_bytes -values 1MB,2MB,4MB,8MB,16MB
+//	sweep -bench facerec -param region -values 1024,2048,4096,8192
+//	sweep -bench swim -prefetch_scheme stream -param lookahead -values 2,4,8
 //
 // Columns: param value, IPC, L2 miss rate, mean miss latency (cycles),
 // command and data utilization, prefetch accuracy, and a status column
@@ -24,17 +25,15 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"memsim"
+	"memsim/internal/core"
 	"memsim/internal/experiments"
 	"memsim/internal/sim"
 )
@@ -67,12 +66,11 @@ func main() {
 }
 
 func sweep(ctx context.Context, w *csv.Writer) (int, error) {
+	knobs := core.KnobFlags(flag.CommandLine)
 	var (
 		bench  = flag.String("bench", "swim", "benchmark profile")
-		param  = flag.String("param", "block", "swept parameter: block, channels, l2mb, region, lookahead, reorder, mshrs")
+		param  = flag.String("param", "l2_block_bytes", "swept configuration knob (any knob flag's name)")
 		values = flag.String("values", "64,128,256,512", "comma-separated values")
-		pf     = flag.Bool("prefetch", false, "enable tuned region prefetching")
-		xor    = flag.Bool("xor", true, "use the XOR address mapping")
 		instrs = flag.Uint64("instrs", 300_000, "measured instructions")
 		warmup = flag.Uint64("warmup", 1_200_000, "warmup instructions")
 		seed   = flag.Uint64("seed", 0, "workload sample seed")
@@ -103,6 +101,14 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 	case *checkpoint != "":
 		manifest = experiments.NewManifest(*checkpoint)
 	}
+	// The orchestrator owns the per-point deadline, retries and checkpoint.
+	runner, err := experiments.NewRunner(experiments.Options{
+		Instrs: *instrs, Warmup: *warmup, Benchmarks: []string{*bench}, Seed: *seed,
+		Context: ctx, TimeoutPerRun: *timeout, Retries: *retries, Checkpoint: manifest,
+	})
+	if err != nil {
+		return exitFailed, err
+	}
 
 	if err := w.Write([]string{*param, "ipc", "l2_miss_rate", "miss_latency_cycles",
 		"cmd_util", "data_util", "pf_accuracy", "status"}); err != nil {
@@ -111,67 +117,36 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 
 	degraded := false
 	for _, raw := range strings.Split(*values, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(raw))
-		if err != nil {
-			return exitFailed, fmt.Errorf("bad value %q: %v", raw, err)
-		}
+		v := strings.TrimSpace(raw)
+		knobs[*param] = v
 		cfg := memsim.BaseConfig()
-		if *xor {
-			cfg.Mapping = "xor"
+		if err := cfg.Apply(knobs); err != nil {
+			return exitFailed, fmt.Errorf("%s=%s: %w", *param, v, err)
 		}
-		if *pf {
-			cfg.Prefetch = memsim.TunedPrefetch()
-		}
-		cfg.MaxInstrs = *instrs
-		cfg.WarmupInstrs = *warmup
-
-		switch *param {
-		case "block":
-			cfg.L2Block = v
-		case "channels":
-			cfg.Channels = v
-			cfg.DevicesPerChannel = max(1, 8/v)
-		case "l2mb":
-			cfg.L2Size = int64(v) << 20
-		case "region":
-			cfg.Prefetch = memsim.TunedPrefetch()
-			cfg.Prefetch.RegionBytes = v
-		case "lookahead":
-			cfg.Prefetch = memsim.TunedPrefetch()
-			cfg.Prefetch.Scheme = "stream"
-			cfg.Prefetch.Lookahead = v
-		case "reorder":
-			cfg.ReorderWindow = v
-		case "mshrs":
-			cfg.MSHRs = v
-		default:
-			return exitFailed, fmt.Errorf("unknown parameter %q", *param)
-		}
-
-		res, err := runPoint(ctx, cfg, *bench, *seed, manifest, *timeout, *retries)
+		results, err := runner.RunBenches(cfg, cfg.SoftwarePrefetch)
 		if err != nil {
 			if serr := saveManifest(manifest); serr != nil {
 				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
 			}
 			if ctx.Err() != nil {
-				return exitInterrupted, fmt.Errorf("interrupted at %s=%d: %w", *param, v, context.Cause(ctx))
+				return exitInterrupted, fmt.Errorf("interrupted at %s=%s: %w", *param, v, context.Cause(ctx))
 			}
-			pointErr := fmt.Errorf("%s=%d: %w", *param, v, err)
+			pointErr := fmt.Errorf("%s=%s: %w", *param, v, err)
 			if !*keepGoing {
 				return exitFailed, pointErr
 			}
 			degraded = true
 			fmt.Fprintln(os.Stderr, "sweep:", pointErr, "(continuing)")
-			if werr := w.Write([]string{strconv.Itoa(v), "", "", "", "", "", "",
+			if werr := w.Write([]string{v, "", "", "", "", "", "",
 				"FAILED: " + firstLine(err)}); werr != nil {
 				return exitFailed, werr
 			}
 			w.Flush()
 			continue
 		}
-		clock := sim.NewClock(cfg.ClockHz)
+		res, clock := results[0], sim.NewClock(cfg.ClockHz)
 		rec := []string{
-			strconv.Itoa(v),
+			v,
 			fmt.Sprintf("%.4f", res.IPC),
 			fmt.Sprintf("%.4f", res.L2MissRate()),
 			fmt.Sprintf("%.1f", res.MeanMissLatencyCycles(clock)),
@@ -192,45 +167,6 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 		return exitDegraded, nil
 	}
 	return exitOK, nil
-}
-
-// runPoint resolves one sweep point: from the checkpoint when
-// possible, else by simulating under the per-point deadline with the
-// retry policy, recording successes in the manifest.
-func runPoint(ctx context.Context, cfg memsim.Config, bench string, seed uint64,
-	manifest *experiments.Manifest, timeout time.Duration, retries int) (memsim.Result, error) {
-	key := experiments.SpecKey(bench, seed, false, cfg)
-	if manifest != nil {
-		if res, ok := manifest.Lookup(key); ok {
-			return res, nil
-		}
-	}
-	var errs []error
-	for attempt := 0; attempt <= retries; attempt++ {
-		// Generators are stateful; rebuild per attempt.
-		gen, err := memsim.Workload(bench, seed, false)
-		if err != nil {
-			return memsim.Result{}, err
-		}
-		rctx := ctx
-		cancel := context.CancelFunc(func() {})
-		if timeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		res, err := memsim.RunContext(rctx, cfg, gen)
-		cancel()
-		if err == nil {
-			if manifest != nil {
-				_ = manifest.Record(key, bench, res, nil)
-			}
-			return res, nil
-		}
-		errs = append(errs, err)
-		if ctx.Err() != nil || !experiments.Retryable(err) {
-			break
-		}
-	}
-	return memsim.Result{}, errors.Join(errs...)
 }
 
 // saveManifest flushes the checkpoint so even an aborted sweep leaves

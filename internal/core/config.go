@@ -125,15 +125,14 @@ type Config struct {
 	// with whole blocks striped across channels (the Section 6
 	// "complex interleaving" direction).
 	Interleaving string
-	// ReorderWindow enables the Section 6 extension: the controller
-	// may issue a queued demand miss or writeback whose DRAM row is
-	// open ahead of up to ReorderWindow-1 older entries. Zero keeps
-	// the paper's strict in-order issue.
+	// ReorderWindow bounds the "frfcfs-cap" policy (Section 6): a
+	// queued demand miss or writeback whose DRAM row is open may issue
+	// ahead of up to ReorderWindow-1 older entries. It must be >= 2
+	// under "frfcfs-cap" and zero under every other policy.
 	ReorderWindow int
 	// SchedPolicy names the controller issue policy from the policy
-	// registry ("fcfs", "frfcfs", "frfcfs-cap"). Empty keeps the legacy
-	// encoding: ReorderWindow > 1 means "frfcfs-cap", else "fcfs".
-	// "frfcfs-cap" requires ReorderWindow >= 2 as its scan bound.
+	// registry ("fcfs", "frfcfs", "frfcfs-cap"). Empty means "fcfs",
+	// the paper's strict in-order issue.
 	SchedPolicy string
 	// BankTiming names the per-activate bank-timing scheme from the
 	// policy registry ("flat", "tiered", "rowreuse"). Empty and "flat"
@@ -229,20 +228,6 @@ func TunedPrefetch() PrefetchConfig {
 	}
 }
 
-// resolvedSched resolves the effective scheduling scheme name and scan
-// window: SchedPolicy wins when set; otherwise the legacy
-// ReorderWindow encoding maps onto the zoo ("frfcfs-cap" when > 1,
-// "fcfs" otherwise), keeping every pre-zoo config byte-identical.
-func (c Config) resolvedSched() (name string, window int) {
-	if c.SchedPolicy != "" {
-		return c.SchedPolicy, c.ReorderWindow
-	}
-	if c.ReorderWindow > 1 {
-		return "frfcfs-cap", c.ReorderWindow
-	}
-	return "fcfs", 0
-}
-
 // Bounds enforced by Validate beyond structural realizability. They
 // exist so that a validated Config is safe to build: allocation sizes
 // stay sane and every downstream constructor precondition holds, which
@@ -301,12 +286,14 @@ func (c Config) Validate() error {
 		v.Reject("Interleaving", c.Interleaving, `must be one of "", "ganged", "independent"`)
 	}
 	v.Range("ReorderWindow", int64(c.ReorderWindow), 0, 1024)
-	if c.SchedPolicy != "" {
-		if !policy.Sched.Known(c.SchedPolicy) {
-			v.Reject("SchedPolicy", c.SchedPolicy, "must be empty or one of %s", strings.Join(policy.Sched.Names(), ", "))
-		} else if c.SchedPolicy == "frfcfs-cap" && c.ReorderWindow < 2 {
-			v.Reject("SchedPolicy", c.SchedPolicy, "needs ReorderWindow >= 2 as its scan bound, got %d", c.ReorderWindow)
-		}
+	switch {
+	case c.SchedPolicy != "" && !policy.Sched.Known(c.SchedPolicy):
+		v.Reject("SchedPolicy", c.SchedPolicy, "must be empty or one of %s", strings.Join(policy.Sched.Names(), ", "))
+	case c.SchedPolicy == "frfcfs-cap":
+		v.Check(c.ReorderWindow >= 2, "SchedPolicy", c.SchedPolicy,
+			"needs ReorderWindow >= 2 as its scan bound, got %d", c.ReorderWindow)
+	case c.ReorderWindow != 0:
+		v.Reject("ReorderWindow", c.ReorderWindow, `applies only to SchedPolicy "frfcfs-cap"`)
 	}
 	if c.BankTiming != "" && !policy.Timings.Known(c.BankTiming) {
 		v.Reject("BankTiming", c.BankTiming, "must be empty or one of %s", strings.Join(policy.Timings.Names(), ", "))

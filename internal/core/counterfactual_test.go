@@ -82,15 +82,14 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 				t.Fatal("no contested decisions recorded; the config no longer backs up the queue")
 			}
 
-			name, window := cfg.resolvedSched()
-			primary, err := policy.NewSched(name, policy.SchedParams{Window: window})
+			primary, err := policy.NewSched(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Fresh alternative instances, one per traced alt name.
 			altPol := map[string]memctrl.IssuePolicy{}
 			for _, a := range records[0].Alts {
-				pol, err := policy.NewSched(a.Name, policy.SchedParams{Window: 8})
+				pol, err := policy.NewSched(a.Name, policy.SchedParams{Window: policy.DefaultReorderWindow})
 				if err != nil {
 					t.Fatalf("alt %s: %v", a.Name, err)
 				}
@@ -102,7 +101,7 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 
 			for i, rec := range records {
 				if got := replayPick(t, primary, rec); got != rec.Chosen {
-					t.Fatalf("record %d: fresh %s picked %d, run picked %d", i, name, got, rec.Chosen)
+					t.Fatalf("record %d: fresh %s picked %d, run picked %d", i, sched, got, rec.Chosen)
 				}
 				for _, a := range rec.Alts {
 					if got := replayPick(t, altPol[a.Name], rec); got != a.Chosen {

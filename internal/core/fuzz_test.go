@@ -70,3 +70,39 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzConfigApply drives the knob table with arbitrary names and
+// values and enforces the same contract through the front-end path:
+// Apply never panics, every rejection (from Apply or from Validate
+// after it) is a typed *harden.ConfigError, and a config that applies
+// and validates always builds.
+func FuzzConfigApply(f *testing.F) {
+	f.Add("channels", "8", "sched_policy", "frfcfs-cap", "prefetch_scheme", "stream")
+	f.Add("l2_size_bytes", "4MB", "l2_block_bytes", "256", "part", "800-50")
+	f.Add("reorder_window", "8", "insert", "smru", "bogus", "1")
+	f.Add("ghz", "NaN", "channels", "0", "lookahead", "-1")
+	f.Add("prefetch", "false", "fifo", "true", "interleaving", "independent")
+
+	gen := trace.NewSlice([]trace.Op{{Addr: 0}})
+
+	f.Fuzz(func(t *testing.T, n1, v1, n2, v2, n3, v3 string) {
+		cfg := Base()
+		err := cfg.Apply(map[string]string{n1: v1, n2: v2, n3: v3})
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			var ce *harden.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			if len(ce.Fields) == 0 {
+				t.Fatal("ConfigError with no field errors")
+			}
+			return
+		}
+		if _, err := New(cfg, gen); err != nil {
+			t.Fatalf("config applied and validated but New failed: %v\nconfig: %+v", err, cfg)
+		}
+	})
+}

@@ -56,6 +56,7 @@ func goldenConfigs() []struct {
 
 	indep := Base()
 	indep.Interleaving = "independent"
+	indep.SchedPolicy = "frfcfs-cap"
 	indep.ReorderWindow = 8
 
 	stream := Base()

@@ -106,8 +106,7 @@ func (s *System) armObs() {
 // never touch the simulation, so an armed run's architectural
 // behaviour is identical to an unarmed one.
 func (s *System) armCounterfactual() {
-	schedName, window := s.cfg.resolvedSched()
-	alts := policy.SchedAlternatives(schedName, window)
+	alts := policy.SchedAlternatives(s.cfg.SchedPolicy)
 	for g := range s.ctrls {
 		s.ctrls[g].EnableCounterfactual(alts)
 	}
@@ -115,9 +114,6 @@ func (s *System) armCounterfactual() {
 		return
 	}
 	scheme := s.cfg.Prefetch.Scheme
-	if scheme == "" {
-		scheme = "region"
-	}
 	cf := prefetch.NewCounterfactual(s.pf, s.tr, scheme)
 	for _, name := range policy.Prefetchers.Names() {
 		if name == scheme {
@@ -141,7 +137,7 @@ func (s *System) armCounterfactual() {
 func shadowPrefetchParams(cfg Config) policy.PrefetchParams {
 	p := prefetchParams(cfg)
 	if p.Lookahead <= 0 {
-		p.Lookahead = 4
+		p.Lookahead = DefaultLookahead
 	}
 	if p.RegionBytes <= 0 {
 		p.RegionBytes = 4096

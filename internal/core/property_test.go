@@ -45,6 +45,7 @@ func TestPropertyNoDeadlock(t *testing.T) {
 			}
 		}
 		if knobs&8 != 0 {
+			cfg.SchedPolicy = "frfcfs-cap"
 			cfg.ReorderWindow = 4
 		}
 		if knobs&16 != 0 {

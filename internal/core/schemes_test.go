@@ -58,6 +58,7 @@ func TestReorderWindowImprovesRowHits(t *testing.T) {
 	inorder := runProfile(t, base, "mcf", 60_000)
 
 	re := base
+	re.SchedPolicy = "frfcfs-cap"
 	re.ReorderWindow = 8
 	reordered := runProfile(t, re, "mcf", 60_000)
 

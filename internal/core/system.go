@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -153,6 +154,9 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Empty scheme names mean the paper's in-order issue and region prefetcher.
+	cfg.SchedPolicy = cmp.Or(cfg.SchedPolicy, "fcfs")
+	cfg.Prefetch.Scheme = cmp.Or(cfg.Prefetch.Scheme, "region")
 
 	// Ganged: one controller over an n-wide logical channel.
 	// Independent: n controllers over 1-wide channels.
@@ -198,7 +202,6 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		chCfg.RefreshInterval = 2 * sim.Microsecond
 		chCfg.RefreshDuration = 70 * sim.Nanosecond
 	}
-	schedName, schedWindow := cfg.resolvedSched()
 	for g := 0; g < groups; g++ {
 		mapr, err := policy.NewMapping(cfg.Mapping, groupGeom)
 		if err != nil {
@@ -220,7 +223,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 			return nil, err
 		}
 		ctrl := memctrl.New(s.sched, chn, mapr)
-		pol, err := policy.NewSched(schedName, policy.SchedParams{Window: schedWindow})
+		pol, err := policy.NewSched(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow})
 		if err != nil {
 			return nil, err
 		}
@@ -231,11 +234,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	}
 
 	if cfg.Prefetch.Enabled {
-		scheme := cfg.Prefetch.Scheme
-		if scheme == "" {
-			scheme = "region"
-		}
-		s.pf, err = policy.NewPrefetcher(scheme, prefetchParams(cfg))
+		s.pf, err = policy.NewPrefetcher(cfg.Prefetch.Scheme, prefetchParams(cfg))
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,9 @@ func (r *Runner) Reorder() (*ReorderResult, error) {
 	for _, c := range configs {
 		cfg := core.Base()
 		cfg.Mapping = "xor"
-		cfg.ReorderWindow = c.reorder
+		if c.reorder > 0 {
+			cfg.SchedPolicy, cfg.ReorderWindow = "frfcfs-cap", c.reorder
+		}
 		if c.pf {
 			cfg.Prefetch = core.TunedPrefetch()
 		}

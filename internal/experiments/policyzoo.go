@@ -33,9 +33,8 @@ func (r *Runner) SchedZoo() (*SchedZooResult, error) {
 		cfg := core.Base()
 		cfg.Mapping = "xor"
 		cfg.Prefetch = core.TunedPrefetch()
-		cfg.SchedPolicy = name
-		if name == "frfcfs-cap" {
-			cfg.ReorderWindow = 8
+		if err := cfg.Apply(map[string]string{"sched_policy": name}); err != nil {
+			return nil, err
 		}
 		results, err := r.perBench(cfg, false)
 		if err != nil {

@@ -185,17 +185,6 @@ func (c *Controller) SetPolicy(p IssuePolicy) {
 // Policy reports the installed issue policy.
 func (c *Controller) Policy() IssuePolicy { return c.policy }
 
-// SetReorderWindow is the legacy knob over SetPolicy: a window above
-// one installs the capped FR-FCFS variant scanning that many queue
-// heads; anything else restores strict in-order issue.
-func (c *Controller) SetReorderWindow(window int) {
-	if window > 1 {
-		c.SetPolicy(FRFCFS{Window: window})
-	} else {
-		c.SetPolicy(FCFS{})
-	}
-}
-
 // EnableCounterfactual arms per-decision divergence tracing: every
 // contested issue decision (more than one queued request) additionally
 // evaluates each alternative policy on the same queue snapshot and

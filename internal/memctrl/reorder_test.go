@@ -10,8 +10,9 @@ import (
 )
 
 // newReorderController builds a 1-channel/1-device system where bank
-// geometry is easy to reason about under the base mapping.
-func newReorderController(t *testing.T, window int) (*sim.Scheduler, *Controller, addrmap.Mapper) {
+// geometry is easy to reason about under the base mapping. A nil pol
+// keeps the controller's default policy.
+func newReorderController(t *testing.T, pol IssuePolicy) (*sim.Scheduler, *Controller, addrmap.Mapper) {
 	t.Helper()
 	g := addrmap.Geometry{Channels: 1, DevicesPerChannel: 1}
 	ch, err := channel.New(channel.Config{Geometry: g, Timing: dram.Part800x40})
@@ -21,12 +22,14 @@ func newReorderController(t *testing.T, window int) (*sim.Scheduler, *Controller
 	m, _ := addrmap.NewBase(g)
 	s := sim.NewScheduler()
 	c := New(s, ch, m)
-	c.SetReorderWindow(window)
+	if pol != nil {
+		c.SetPolicy(pol)
+	}
 	return s, c, m
 }
 
 func TestReorderPrefersOpenRow(t *testing.T) {
-	s, c, _ := newReorderController(t, 4)
+	s, c, _ := newReorderController(t, FRFCFS{Window: 4})
 	var order []string
 	// Prime: open row 0 of bank 0 with an initial access.
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
@@ -48,7 +51,7 @@ func TestReorderPrefersOpenRow(t *testing.T) {
 }
 
 func TestInOrderByDefault(t *testing.T) {
-	s, c, _ := newReorderController(t, 0)
+	s, c, _ := newReorderController(t, nil)
 	var order []string
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
 		OnFirstData: func(sim.Time) { order = append(order, "prime") }})
@@ -67,7 +70,7 @@ func TestInOrderByDefault(t *testing.T) {
 }
 
 func TestReorderWindowBounded(t *testing.T) {
-	s, c, _ := newReorderController(t, 2)
+	s, c, _ := newReorderController(t, FRFCFS{Window: 2})
 	var order []string
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
 		OnFirstData: func(sim.Time) { order = append(order, "prime") }})

@@ -135,7 +135,7 @@ func TestFactories(t *testing.T) {
 // registered policy but the primary, in sorted order, constructible
 // even when the primary run set no window.
 func TestSchedAlternatives(t *testing.T) {
-	alts := SchedAlternatives("fcfs", 0)
+	alts := SchedAlternatives("fcfs")
 	var names []string
 	for _, a := range alts {
 		names = append(names, a.Name())
@@ -143,7 +143,7 @@ func TestSchedAlternatives(t *testing.T) {
 	if want := []string{"frfcfs", "frfcfs-cap"}; !reflect.DeepEqual(names, want) {
 		t.Fatalf("alternatives for fcfs = %v, want %v", names, want)
 	}
-	if n := len(SchedAlternatives("frfcfs-cap", 8)); n != 2 {
+	if n := len(SchedAlternatives("frfcfs-cap")); n != 2 {
 		t.Fatalf("alternatives for frfcfs-cap = %d policies, want 2", n)
 	}
 }

@@ -6,6 +6,10 @@ import (
 	"memsim/internal/memctrl"
 )
 
+// DefaultReorderWindow is the frfcfs-cap scan window a bare
+// sched_policy=frfcfs-cap knob gets, and counterfactual alternatives use.
+const DefaultReorderWindow = 8
+
 // SchedParams carries the knobs a scheduling factory may use.
 type SchedParams struct {
 	// Window bounds the FR-FCFS scan depth; only "frfcfs-cap" uses it.
@@ -42,19 +46,15 @@ func NewSched(name string, p SchedParams) (memctrl.IssuePolicy, error) {
 
 // SchedAlternatives builds every registered scheduling policy except
 // the primary, in sorted name order — the counterfactual alternative
-// set. window parameterizes capped variants; values below 2 take a
-// default window of 8 so "frfcfs-cap" stays constructible as an
-// alternative even when the primary run never set one.
-func SchedAlternatives(primary string, window int) []memctrl.IssuePolicy {
-	if window < 2 {
-		window = 8
-	}
+// set. A capped alternative scans DefaultReorderWindow entries (only
+// a "frfcfs-cap" primary sets a window, and it is no alternative).
+func SchedAlternatives(primary string) []memctrl.IssuePolicy {
 	var alts []memctrl.IssuePolicy
 	for _, name := range Sched.Names() {
 		if name == primary {
 			continue
 		}
-		pol, err := NewSched(name, SchedParams{Window: window})
+		pol, err := NewSched(name, SchedParams{Window: DefaultReorderWindow})
 		if err != nil {
 			continue
 		}

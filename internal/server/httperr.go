@@ -63,6 +63,11 @@ func decodeSpec(r io.Reader) (JobSpec, int, *apiError) {
 		return JobSpec{}, http.StatusBadRequest,
 			&apiError{Code: codeMalformedJSON, Message: "request body holds more than one JSON document"}
 	}
+	// Type-check the raw config values so they fail like spec fields.
+	if _, err := spec.settings(); err != nil {
+		status, aerr := classifyDecodeError(err)
+		return JobSpec{}, status, aerr
+	}
 	return spec, 0, nil
 }
 

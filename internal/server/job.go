@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"memsim/internal/core"
@@ -59,35 +62,14 @@ type JobSpec struct {
 	// DeadlineSeconds bounds each execution's wall-clock time (a resumed
 	// job gets a fresh deadline); zero takes the server default.
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
-	// Config overrides individual fields of the preset configuration.
-	Config *ConfigOverrides `json:"config,omitempty"`
+	// Config sets knobs of core's table on the preset: JSON booleans for
+	// bool knobs, numbers for int, size and float ones, else strings.
+	Config map[string]json.RawMessage `json:"config,omitempty"`
 }
 
-// ConfigOverrides is the JSON surface over core.Config: pointer fields
-// so "absent" and "zero" are distinguishable. The resulting Config is
-// still put through the aggregated core Config.Validate, so a job that
-// admits always builds.
-type ConfigOverrides struct {
-	Mapping          *string `json:"mapping,omitempty"`           // "base", "swap", "xor"
-	Interleaving     *string `json:"interleaving,omitempty"`      // "", "ganged", "independent"
-	Channels         *int    `json:"channels,omitempty"`          // power of two
-	ClosedPage       *bool   `json:"closed_page,omitempty"`       // row-buffer policy
-	Refresh          *bool   `json:"refresh,omitempty"`           // model DRAM refresh
-	ReorderWindow    *int    `json:"reorder_window,omitempty"`    // open-row-first issue window
-	SchedPolicy      *string `json:"sched_policy,omitempty"`      // "fcfs", "frfcfs", "frfcfs-cap"
-	BankTiming       *string `json:"bank_timing,omitempty"`       // "flat", "tiered", "rowreuse"
-	Engine           *string `json:"engine,omitempty"`            // "calendar", "heap"
-	Prefetch         *bool   `json:"prefetch,omitempty"`          // enable the tuned prefetch engine
-	PrefetchScheme   *string `json:"prefetch_scheme,omitempty"`   // "region", "sequential", "stream"
-	SoftwarePrefetch *bool   `json:"software_prefetch,omitempty"` // execute software prefetches
-	L2SizeBytes      *int64  `json:"l2_size_bytes,omitempty"`
-	L2BlockBytes     *int    `json:"l2_block_bytes,omitempty"`
-}
-
-// BuildConfig materializes the spec's core.Config: preset, then
-// overrides, then the aggregated validation pass. A non-nil error is a
-// *harden.ConfigError (for unknown presets, a plain error) suitable
-// for a typed 4xx response.
+// BuildConfig materializes the spec's core.Config: preset, then Apply
+// of the config knobs, then Validate. Errors suit a typed 4xx: a
+// *harden.ConfigError, or a plain error for a bad preset or knob type.
 func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	var cfg core.Config
 	switch sp.Preset {
@@ -98,70 +80,52 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf(`preset %q: must be "base" or "tuned"`, sp.Preset)
 	}
-	if o := sp.Config; o != nil {
-		if o.Mapping != nil {
-			cfg.Mapping = *o.Mapping
-		}
-		if o.Interleaving != nil {
-			cfg.Interleaving = *o.Interleaving
-		}
-		if o.Channels != nil {
-			cfg.Channels = *o.Channels
-		}
-		if o.ClosedPage != nil {
-			cfg.ClosedPage = *o.ClosedPage
-		}
-		if o.Refresh != nil {
-			cfg.Refresh = *o.Refresh
-		}
-		if o.ReorderWindow != nil {
-			cfg.ReorderWindow = *o.ReorderWindow
-		}
-		if o.SchedPolicy != nil {
-			cfg.SchedPolicy = *o.SchedPolicy
-			// frfcfs-cap needs a scan bound; give it the tuned window
-			// when the spec set none, so the one-field override works.
-			if cfg.SchedPolicy == "frfcfs-cap" && cfg.ReorderWindow < 2 && o.ReorderWindow == nil {
-				cfg.ReorderWindow = 8
-			}
-		}
-		if o.BankTiming != nil {
-			cfg.BankTiming = *o.BankTiming
-		}
-		if o.Engine != nil {
-			cfg.Engine = *o.Engine
-		}
-		if o.Prefetch != nil {
-			if *o.Prefetch {
-				cfg.Prefetch = core.TunedPrefetch()
-			} else {
-				cfg.Prefetch = core.PrefetchConfig{}
-			}
-		}
-		if o.PrefetchScheme != nil {
-			cfg.Prefetch.Scheme = *o.PrefetchScheme
-			if !cfg.Prefetch.Enabled {
-				cfg.Prefetch = core.TunedPrefetch()
-				cfg.Prefetch.Scheme = *o.PrefetchScheme
-			}
-			if *o.PrefetchScheme == "sequential" || *o.PrefetchScheme == "stream" {
-				cfg.Prefetch.Lookahead = 4
-			}
-		}
-		if o.SoftwarePrefetch != nil {
-			cfg.SoftwarePrefetch = *o.SoftwarePrefetch
-		}
-		if o.L2SizeBytes != nil {
-			cfg.L2Size = *o.L2SizeBytes
-		}
-		if o.L2BlockBytes != nil {
-			cfg.L2Block = *o.L2BlockBytes
-		}
+	settings, err := sp.settings()
+	if err != nil {
+		return core.Config{}, err
+	}
+	if err := cfg.Apply(settings); err != nil {
+		return core.Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil
+}
+
+// settings converts the config object for Apply. A value of the wrong
+// JSON type and an unknown key fail as a mistyped or unknown spec field
+// decodes; a null value counts as absent.
+func (sp *JobSpec) settings() (map[string]string, error) {
+	names := make([]string, 0, len(sp.Config))
+	for name := range sp.Config {
+		names = append(names, name)
+	}
+	sort.Strings(names) // report the first bad key deterministically
+	settings := make(map[string]string, len(names))
+	for _, name := range names {
+		raw, str := sp.Config[name], ""
+		k, ok := core.LookupKnob(name)
+		if !ok {
+			return nil, fmt.Errorf("json: unknown field %q", "config."+name)
+		}
+		target := map[core.KnobKind]any{core.KindBool: new(bool), core.KindInt: new(int64),
+			core.KindSize: new(int64), core.KindFloat: new(float64), core.KindString: &str}[k.Kind]
+		if err := json.Unmarshal(raw, target); err != nil {
+			if te := (*json.UnmarshalTypeError)(nil); errors.As(err, &te) {
+				te.Field = "config." + name
+			}
+			return nil, err
+		}
+		switch {
+		case string(raw) == "null":
+		case k.Kind == core.KindString:
+			settings[name] = str
+		default: // a JSON bool or number literal is already valid flag syntax
+			settings[name] = string(raw)
+		}
+	}
+	return settings, nil
 }
 
 // ResolveBenchmarks returns the job's benchmark suite in run order,

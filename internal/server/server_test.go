@@ -15,6 +15,7 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/experiments"
+	"memsim/internal/policy"
 )
 
 // newService builds a test daemon with quiet logging and small budgets.
@@ -385,6 +386,8 @@ func TestMalformedBodies(t *testing.T) {
 		{"invalid config", `{"config":{"channels":3}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
 		{"unknown sched policy", `{"config":{"sched_policy":"exotic"}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
 		{"unknown bank timing", `{"config":{"bank_timing":"exotic"}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
+		{"config wrong type", `{"config":{"channels":"4"}}`, http.StatusBadRequest, codeWrongType},
+		{"config unknown key", `{"config":{"bogus":1}}`, http.StatusBadRequest, codeUnknownField},
 		{"huge job", `{"instrs":999999999999}`, http.StatusBadRequest, codeJobTooLarge},
 	}
 	for _, tc := range cases {
@@ -591,34 +594,34 @@ func TestJobEndpoints(t *testing.T) {
 // defaults its scan window so it admits without a paired
 // reorder_window.
 func TestPolicyOverrides(t *testing.T) {
-	sched := "frfcfs-cap"
-	spec := JobSpec{Config: &ConfigOverrides{SchedPolicy: &sched}}
-	cfg, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.SchedPolicy != "frfcfs-cap" || cfg.ReorderWindow != 8 {
-		t.Fatalf("sched override: policy %q window %d, want frfcfs-cap/8", cfg.SchedPolicy, cfg.ReorderWindow)
+	build := func(config string) core.Config {
+		t.Helper()
+		spec, _, aerr := decodeSpec(strings.NewReader(`{"config":` + config + `}`))
+		if aerr != nil {
+			t.Fatalf("%s: %+v", config, aerr)
+		}
+		cfg, err := spec.BuildConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", config, err)
+		}
+		return cfg
 	}
 
-	timing := "rowreuse"
-	spec = JobSpec{Config: &ConfigOverrides{BankTiming: &timing}}
-	cfg, err = spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
+	cfg := build(`{"sched_policy":"frfcfs-cap"}`)
+	if cfg.SchedPolicy != "frfcfs-cap" || cfg.ReorderWindow != policy.DefaultReorderWindow {
+		t.Fatalf("sched override: policy %q window %d, want frfcfs-cap/%d",
+			cfg.SchedPolicy, cfg.ReorderWindow, policy.DefaultReorderWindow)
 	}
-	if cfg.BankTiming != "rowreuse" {
+	if cfg := build(`{"bank_timing":"rowreuse"}`); cfg.BankTiming != "rowreuse" {
 		t.Fatalf("bank timing override: %q", cfg.BankTiming)
 	}
-
 	// An explicit reorder_window wins over the frfcfs-cap default.
-	window := 16
-	spec = JobSpec{Config: &ConfigOverrides{SchedPolicy: &sched, ReorderWindow: &window}}
-	cfg, err = spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ReorderWindow != 16 {
+	if cfg := build(`{"sched_policy":"frfcfs-cap","reorder_window":16}`); cfg.ReorderWindow != 16 {
 		t.Fatalf("explicit window overridden to %d", cfg.ReorderWindow)
+	}
+	// The legacy encoding (a window without a policy) fails loudly.
+	spec := JobSpec{Config: map[string]json.RawMessage{"reorder_window": json.RawMessage("8")}}
+	if _, err := spec.BuildConfig(); err == nil {
+		t.Fatal("reorder_window without sched_policy frfcfs-cap was accepted")
 	}
 }

@@ -46,6 +46,7 @@ func systemMatrix() map[string]core.Config {
 
 	indep := core.Base()
 	indep.Interleaving = "independent"
+	indep.SchedPolicy = "frfcfs-cap"
 	indep.ReorderWindow = 8
 	m["independent-reorder"] = indep
 
@@ -58,9 +59,8 @@ func systemMatrix() map[string]core.Config {
 		cfg.Channels = 1 // one contested queue so Pick actually runs
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.Prefetch.Scheduled = false
-		cfg.SchedPolicy = name
-		if name == "frfcfs-cap" {
-			cfg.ReorderWindow = 8
+		if err := cfg.Apply(map[string]string{"sched_policy": name}); err != nil {
+			panic(err)
 		}
 		m["sched-"+name] = cfg
 	}
