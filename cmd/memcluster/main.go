@@ -3,10 +3,18 @@
 // channels through the deterministic epoch-barrier fabric (see
 // internal/cluster and DESIGN.md §15).
 //
+// Every member system and the shared fabric take one core
+// configuration: the paper's base system with the knob flags memsim
+// takes (memcluster -h lists them) applied on top. The fabric's
+// arbiter has a fixed class priority, so -sched_policy and
+// -reorder_window are rejected, and the cluster always interleaves
+// channels independently.
+//
 // Examples:
 //
 //	memcluster -mix mcf+swim
 //	memcluster -mix mix4-paper -channels 2 -baselines
+//	memcluster -mix mcf+swim -bank_timing tiered -software_prefetch
 //	memcluster -mix swim+swim+swim+swim -parallel -trace-out cluster.trace.json
 package main
 
@@ -20,6 +28,7 @@ import (
 	"time"
 
 	"memsim/internal/cluster"
+	"memsim/internal/core"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/vfs"
@@ -27,21 +36,14 @@ import (
 )
 
 func main() {
+	knobs := core.KnobFlags(flag.CommandLine)
 	var (
 		mix       = flag.String("mix", "mix2-mixed", "benchmark mix: a named mix (see -list) or a+b+c")
 		list      = flag.Bool("list", false, "list named mixes and exit")
 		seed      = flag.Uint64("seed", 0, "base workload seed; system i uses seed+i")
-		swpf      = flag.Bool("swprefetch", false, "execute software prefetch instructions in every system")
-		channels  = flag.Int("channels", 0, "shared Rambus channels (0 = base config)")
-		devices   = flag.Int("devices", 0, "devices per channel (0 = base config)")
-		mapping   = flag.String("mapping", "", "address mapping: base, swap, or xor")
-		part      = flag.String("part", "", "DRDRAM part: 800-40, 800-50, or 800-34")
-		closed    = flag.Bool("closed-page", false, "close the row after every access")
-		banktime  = flag.String("banktiming", "", "shared-channel bank timing: flat, tiered, or rowreuse (default flat)")
 		link      = flag.Duration("link", 0, "system-to-fabric link latency (= epoch width; 0 = 10ns)")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per system")
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per system")
-		engine    = flag.String("engine", "", "event scheduler engine: calendar or heap")
 		parallel  = flag.Bool("parallel", false, "run shards on goroutines (bit-identical to sequential)")
 		baselines = flag.Bool("baselines", false, "also run each system alone: slowdown, weighted speedup, fairness")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this wall-clock time (0 = none)")
@@ -61,24 +63,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	base := core.Base()
+	if err := base.Apply(knobs); err != nil {
+		fatal(err)
+	}
 	cfg := cluster.Config{
-		Channels:          *channels,
-		DevicesPerChannel: *devices,
-		Mapping:           *mapping,
-		Part:              *part,
-		ClosedPage:        *closed,
-		BankTiming:        *banktime,
-		LinkLatency:       sim.Time(link.Nanoseconds()) * sim.Nanosecond,
-		MaxInstrs:         *instrs,
-		WarmupInstrs:      *warmup,
-		Engine:            *engine,
-		Parallel:          *parallel,
-		Obs:               obs.Config{Trace: *traceOut != ""},
+		Base:         &base,
+		LinkLatency:  sim.Time(link.Nanoseconds()) * sim.Nanosecond,
+		MaxInstrs:    *instrs,
+		WarmupInstrs: *warmup,
+		Parallel:     *parallel,
+		Obs:          obs.Config{Trace: *traceOut != ""},
 	}
 	for i, b := range benches {
-		cfg.Systems = append(cfg.Systems, cluster.SystemSpec{
-			Bench: b, Seed: *seed + uint64(i), SWPrefetch: *swpf,
-		})
+		cfg.Systems = append(cfg.Systems, cluster.SystemSpec{Bench: b, Seed: *seed + uint64(i)})
 	}
 
 	ctx := context.Background()

@@ -294,20 +294,6 @@ func (m *XORMapper) Unmap(c Coord) uint64 {
 	return join(m.g, c.Col, rest)
 }
 
-// ByName constructs the named mapper ("base", "swap", or "xor").
-func ByName(name string, g Geometry) (Mapper, error) {
-	switch name {
-	case "base":
-		return NewBase(g)
-	case "swap":
-		return NewSwap(g)
-	case "xor":
-		return NewXOR(g)
-	default:
-		return nil, fmt.Errorf("addrmap: unknown mapping %q", name)
-	}
-}
-
 // Span is a run of contiguous logical columns sharing one (device,
 // bank, row) coordinate. Block transfers decompose into spans.
 type Span struct {

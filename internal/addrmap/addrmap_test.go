@@ -50,19 +50,18 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestByName checks each constructor names its mapper as the policy
+// registry knows it (unknown names are the registry's to reject).
 func TestByName(t *testing.T) {
 	g := base4x2(t)
-	for _, name := range []string{"base", "swap", "xor"} {
-		m, err := ByName(name, g)
+	for name, build := range constructors {
+		m, err := build(g)
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if m.Name() != name {
 			t.Errorf("mapper name = %q, want %q", m.Name(), name)
 		}
-	}
-	if _, err := ByName("nope", g); err == nil {
-		t.Error("ByName(nope) did not error")
 	}
 }
 

@@ -188,12 +188,14 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 	results, err := runner.RunBenches(core.Base(), false)
 	var clusters []cluster.Result
 	if err == nil {
+		base := core.Base()
+		base.Channels = 1
 		clusters, err = runner.RunClusters([]cluster.Config{{
 			Systems: []cluster.SystemSpec{
 				{Bench: "mcf", Seed: 1},
 				{Bench: "swim", Seed: 2},
 			},
-			Channels:     1,
+			Base:         &base,
 			MaxInstrs:    drillInstrs,
 			WarmupInstrs: drillWarmup,
 		}})

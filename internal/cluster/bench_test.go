@@ -10,7 +10,7 @@ import (
 func benchConfig(n int, parallel bool) Config {
 	profiles := []string{"mcf", "swim", "facerec", "twolf"}
 	cfg := Config{
-		Channels:  4,
+		Base:      baseChannels(4),
 		MaxInstrs: 20_000,
 		Parallel:  parallel,
 	}
@@ -64,7 +64,7 @@ func BenchmarkClusterBarrier(b *testing.B) {
 			{Bench: "twolf", Seed: 1},
 			{Bench: "gzip", Seed: 2},
 		},
-		Channels:    1,
+		Base:        baseChannels(1),
 		MaxInstrs:   2_000,
 		LinkLatency: DefaultLinkLatency / 4,
 		Parallel:    true,

@@ -17,12 +17,10 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 
 	"memsim/internal/core"
-	"memsim/internal/dram"
+	"memsim/internal/harden"
 	"memsim/internal/obs"
-	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
@@ -43,23 +41,14 @@ const DefaultLinkLatency = 10 * sim.Nanosecond
 // same trick workload generation uses to de-correlate streams).
 const skewBlocks = 1009
 
-// SystemSpec describes one member system: which workload it runs and
-// optionally a full core configuration override. The zero Config
-// (nil) means core.Base() with the cluster's shared-memory geometry
-// applied on top.
+// SystemSpec describes one member system: which workload it runs.
+// Every member shares the cluster's core configuration (Config.Base).
 type SystemSpec struct {
 	// Bench names the workload profile (workload.ByName).
 	Bench string `json:"bench"`
 	// Seed offsets the workload generator so co-running copies of one
 	// profile do not replay identical streams.
 	Seed uint64 `json:"seed"`
-	// SWPrefetch enables software-prefetch generation in the workload.
-	SWPrefetch bool `json:"sw_prefetch,omitempty"`
-	// Config, when non-nil, is the base core configuration for this
-	// system. The cluster overrides its memory geometry and scheduler
-	// engine (see Config.systemConfig) so all members agree on the
-	// shared fabric.
-	Config *core.Config `json:"config,omitempty"`
 }
 
 // Label names the system for metrics, traces, and reports.
@@ -70,26 +59,12 @@ type Config struct {
 	// Systems are the member systems; at least one.
 	Systems []SystemSpec `json:"systems"`
 
-	// Channels and DevicesPerChannel shape the shared Rambus fabric:
-	// Channels independent channels, each with its own arbiter, blocks
-	// striped across them. Zero values take core.Base()'s geometry.
-	Channels          int `json:"channels,omitempty"`
-	DevicesPerChannel int `json:"devices_per_channel,omitempty"`
-	// Mapping selects the per-channel address mapping ("base", "swap",
-	// "xor"); empty means "base".
-	Mapping string `json:"mapping,omitempty"`
-	// Part names the DRDRAM timing part (dram.PartByName); it is the
-	// serializable form of Timing for JSON specs. Empty keeps Timing.
-	Part string `json:"part,omitempty"`
-	// Timing is the DRDRAM part; the zero value takes Part, or the
-	// base configuration's part when both are unset.
-	Timing dram.Timing `json:"-"`
-	// ClosedPage selects the row-buffer policy of the shared channels.
-	ClosedPage bool `json:"closed_page,omitempty"`
-	// BankTiming names the bank-timing scheme of the shared channels
-	// ("flat", "tiered", "rowreuse"); empty means flat. Each physical
-	// channel gets its own policy instance (rowreuse keeps state).
-	BankTiming string `json:"bank_timing,omitempty"`
+	// Base is every member's core configuration and the shared
+	// fabric's memory configuration: the fabric has Base.Channels
+	// independent channels, each with its own arbiter, built as a
+	// System builds its own. Nil means core.Base(); memberConfig says
+	// what the cluster normalizes.
+	Base *core.Config `json:"base,omitempty"`
 
 	// LinkLatency is the system-to-fabric hop, and therefore the epoch
 	// width Δ: a message sent at t delivers at t+Δ, which always lands
@@ -100,10 +75,6 @@ type Config struct {
 	// instruction budget (and WarmupInstrs overrides the warmup).
 	MaxInstrs    uint64 `json:"max_instrs,omitempty"`
 	WarmupInstrs uint64 `json:"warmup_instrs,omitempty"`
-
-	// Engine selects the event-scheduler implementation for all shards
-	// ("", "calendar", "heap").
-	Engine string `json:"engine,omitempty"`
 
 	// Parallel selects the sharded engine: one goroutine per shard
 	// with epoch barriers. False runs the sequential reference engine
@@ -118,24 +89,9 @@ type Config struct {
 
 // withDefaults returns the config with zero values resolved.
 func (c Config) withDefaults() Config {
-	base := core.Base()
-	if c.Channels == 0 {
-		c.Channels = base.Channels
-	}
-	if c.DevicesPerChannel == 0 {
-		c.DevicesPerChannel = base.DevicesPerChannel
-	}
-	if c.Mapping == "" {
-		c.Mapping = base.Mapping
-	}
-	if c.Timing.Packet == 0 {
-		c.Timing = base.Timing
-		if c.Part != "" {
-			if t, err := dram.PartByName(c.Part); err == nil {
-				c.Timing = t
-			}
-			// An unknown part surfaces from Validate, not here.
-		}
+	if c.Base == nil {
+		base := core.Base()
+		c.Base = &base
 	}
 	if c.LinkLatency == 0 {
 		c.LinkLatency = DefaultLinkLatency
@@ -143,64 +99,44 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the cluster-level shape. Per-system configurations
-// are validated by core.NewExternal at build time.
+// Validate checks the config with defaults resolved, reporting every
+// problem as one *harden.ConfigError: the cluster's own fields, then
+// the member configuration through core.Config.Validate, then the Base
+// settings the shared fabric cannot honor.
 func (c Config) Validate() error {
-	if len(c.Systems) == 0 {
-		return fmt.Errorf("cluster: no systems configured")
-	}
-	if len(c.Systems) > MaxSystems {
-		return fmt.Errorf("cluster: %d systems exceeds MaxSystems=%d", len(c.Systems), MaxSystems)
-	}
+	c = c.withDefaults()
+	var v harden.Validator
+	v.Check(len(c.Systems) > 0, "Systems", 0, "no systems configured")
+	v.Check(len(c.Systems) <= MaxSystems, "Systems", len(c.Systems), "exceeds MaxSystems=%d", MaxSystems)
 	for i, s := range c.Systems {
 		if _, err := workload.ByName(s.Bench); err != nil {
-			return fmt.Errorf("cluster: system %d: %w", i, err)
+			v.Reject(fmt.Sprintf("Systems[%d].Bench", i), s.Bench, "%v", err)
 		}
 	}
-	if c.Channels < 1 || c.Channels > 64 {
-		return fmt.Errorf("cluster: Channels %d out of range [1, 64]", c.Channels)
-	}
-	if c.DevicesPerChannel < 1 || c.DevicesPerChannel > 64 {
-		return fmt.Errorf("cluster: DevicesPerChannel %d out of range [1, 64]", c.DevicesPerChannel)
-	}
-	if c.LinkLatency <= 0 {
-		return fmt.Errorf("cluster: LinkLatency must be positive, got %v", c.LinkLatency)
-	}
-	if c.Part != "" {
-		if _, err := dram.PartByName(c.Part); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if _, err := sim.ParseEngine(c.Engine); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if c.BankTiming != "" && !policy.Timings.Known(c.BankTiming) {
-		return fmt.Errorf("cluster: unknown bank timing %q (have %s)",
-			c.BankTiming, strings.Join(policy.Timings.Names(), ", "))
-	}
-	return nil
+	v.Check(c.LinkLatency > 0, "LinkLatency", c.LinkLatency, "must be positive")
+	v.Merge("", c.memberConfig().Validate())
+	// The fabric's arbiter has a fixed demand > writeback > prefetch
+	// priority; a reorder_window without frfcfs-cap already fails above.
+	v.Check(c.Base.SchedPolicy == "", "SchedPolicy", c.Base.SchedPolicy,
+		"the shared fabric arbitrates by fixed class priority, not an issue policy")
+	v.Check(c.Base.Interleaving == "" || c.Base.Interleaving == "independent", "Interleaving", c.Base.Interleaving,
+		"the shared fabric stripes blocks across independent channels")
+	v.Check(!c.Base.Counterfactual || c.Base.Prefetch.Enabled, "Counterfactual", c.Base.Counterfactual,
+		"the shared fabric records no decisions; only member prefetchers can be traced")
+	return v.Err()
 }
 
-// systemConfig derives system i's core configuration: the spec's base
-// (or core.Base()) with the shared fabric geometry forced on top, so
-// every member computes the same physical address space the memory
-// shard serves. External-memory restrictions are normalized rather
-// than rejected — scheduled/bank-aware prefetching degrades to the
-// unscheduled FIFO discipline (the fabric cannot expose synchronous
-// channel idle or row state across shards), and hardening monitors
-// are disabled (they inspect local controllers).
-func (c Config) systemConfig(i int) core.Config {
-	cfg := core.Base()
-	if sc := c.Systems[i].Config; sc != nil {
-		cfg = *sc
-	}
-	cfg.Channels = c.Channels
-	cfg.DevicesPerChannel = c.DevicesPerChannel
+// memberConfig derives every member's core configuration, which is
+// also the fabric's memory configuration: Base with the cluster's
+// budgets and observability, normalized rather than rejected where
+// external memory restricts it — channels interleave independently,
+// scheduled/bank-aware prefetching degrades to the unscheduled FIFO
+// discipline (the fabric cannot expose synchronous channel idle or row
+// state across shards), and hardening monitors are disabled (they
+// inspect local controllers).
+func (c Config) memberConfig() core.Config {
+	cfg := *c.Base
 	cfg.Interleaving = "independent"
-	cfg.Mapping = c.Mapping
-	cfg.Timing = c.Timing
-	cfg.ClosedPage = c.ClosedPage
-	cfg.Engine = c.Engine
 	if c.MaxInstrs > 0 {
 		cfg.MaxInstrs = c.MaxInstrs
 		cfg.WarmupInstrs = c.WarmupInstrs

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"memsim/internal/core"
+	"memsim/internal/dram"
+	"memsim/internal/harden"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 )
@@ -27,11 +32,18 @@ func testConfig() Config {
 			{Bench: "mcf", Seed: 11},
 			{Bench: "swim", Seed: 12},
 		},
-		Channels:     2,
+		Base:         baseChannels(2),
 		MaxInstrs:    8_000,
 		WarmupInstrs: 1_000,
 		Obs:          obs.Config{Metrics: true},
 	}
+}
+
+// baseChannels is core.Base() on n channels of its 2 devices each.
+func baseChannels(n int) *core.Config {
+	base := core.Base()
+	base.Channels = n
+	return &base
 }
 
 func mustRun(t *testing.T, cfg Config) Result {
@@ -112,7 +124,7 @@ func TestInterferenceMetrics(t *testing.T) {
 			{Bench: "facerec", Seed: 3},
 			{Bench: "twolf", Seed: 4},
 		},
-		Channels:  2,
+		Base:      baseChannels(2),
 		MaxInstrs: 4_000,
 	}
 	res, err := RunWithBaselines(context.Background(), cfg)
@@ -167,26 +179,60 @@ func TestClusterMetricsLabels(t *testing.T) {
 	}
 }
 
-// TestValidate covers the cluster-level config rejections.
+// configFields returns the fields of err's *harden.ConfigError.
+func configFields(t *testing.T, err error) []string {
+	t.Helper()
+	var ce *harden.ConfigError
+	if !errors.As(err, &ce) {
+		t.Errorf("got %v, want *harden.ConfigError", err)
+		return nil
+	}
+	var fields []string
+	for _, f := range ce.Fields {
+		fields = append(fields, f.Field)
+	}
+	return fields
+}
+
+// TestValidate covers the cluster's rejections: its own fields, Base
+// fields core.Config.Validate rejects (the same fields it reports for
+// a single system), and Base settings the shared fabric cannot honor.
 func TestValidate(t *testing.T) {
 	cases := []struct {
-		name string
-		mut  func(*Config)
-		want string
+		name  string
+		mut   func(*Config)
+		field string
+		core  bool // core.Config.Validate rejects the Base alone, with the same fields
 	}{
-		{"no systems", func(c *Config) { c.Systems = nil }, "no systems"},
-		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, "nope"},
-		{"bad channels", func(c *Config) { c.Channels = -1 }, "Channels"},
-		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
-		{"bad engine", func(c *Config) { c.Engine = "quantum" }, "engine"},
-		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "bank timing"},
+		{"no systems", func(c *Config) { c.Systems = nil }, "Systems", false},
+		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, "Systems[0].Bench", false},
+		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency", false},
+		{"bad channels", func(c *Config) { c.Base.Channels = -1 }, "Channels", true},
+		{"bad engine", func(c *Config) { c.Base.Engine = "quantum" }, "Engine", true},
+		{"unknown bank timing", func(c *Config) { c.Base.BankTiming = "exotic" }, "BankTiming", true},
+		{"unknown mapping", func(c *Config) { c.Base.Mapping = "nope" }, "Mapping", true},
+		{"bad part", func(c *Config) { c.Base.Timing = dram.Timing{Name: "800-99"} }, "Timing", true},
+		{"sched policy", func(c *Config) { c.Base.SchedPolicy = "frfcfs" }, "SchedPolicy", false},
+		{"reorder window", func(c *Config) { c.Base.ReorderWindow = 4 }, "ReorderWindow", true},
+		{"ganged", func(c *Config) { c.Base.Interleaving = "ganged" }, "Interleaving", false},
+		{"counterfactual without prefetch", func(c *Config) {
+			c.Base.Counterfactual, c.Obs.Trace = true, true
+		}, "Counterfactual", false},
 	}
 	for _, tc := range cases {
-		cfg := testConfig().withDefaults()
+		cfg := testConfig()
 		tc.mut(&cfg)
-		err := cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		got := configFields(t, cfg.Validate())
+		if !slices.Contains(got, tc.field) {
+			t.Errorf("%s: rejected fields %v, want %s", tc.name, got, tc.field)
+		}
+		if tc.core {
+			if want := configFields(t, cfg.Base.Validate()); !slices.Equal(got, want) {
+				t.Errorf("%s: cluster rejects %v, core.Config.Validate %v", tc.name, got, want)
+			}
+		}
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: Run accepted the config", tc.name)
 		}
 	}
 }
@@ -211,7 +257,7 @@ func TestCancellation(t *testing.T) {
 func TestSoloMatchesShare(t *testing.T) {
 	cfg := Config{
 		Systems:   []SystemSpec{{Bench: "swim", Seed: 5}},
-		Channels:  1,
+		Base:      baseChannels(1),
 		MaxInstrs: 3_000,
 	}
 	res := mustRun(t, cfg)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"memsim/internal/core"
 	"memsim/internal/sim"
 )
 
@@ -32,14 +33,16 @@ var diffProfiles = []string{"mcf", "swim", "facerec", "twolf", "gzip", "art"}
 func GenProgram(seed uint64) Config {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	n := 1 + rng.Intn(4)
+	base := core.Base()
+	base.Channels = 1 << rng.Intn(3)
+	base.DevicesPerChannel = 1 << rng.Intn(2)
 	cfg := Config{
-		Channels:          1 << rng.Intn(3),
-		DevicesPerChannel: 1 << rng.Intn(2),
-		LinkLatency:       sim.Time(4<<rng.Intn(4)) * sim.Nanosecond,
-		MaxInstrs:         uint64(300 + rng.Intn(1200)),
-		WarmupInstrs:      uint64(rng.Intn(200)),
-		ClosedPage:        rng.Intn(4) == 0,
+		Base:         &base,
+		LinkLatency:  sim.Time(4<<rng.Intn(4)) * sim.Nanosecond,
+		MaxInstrs:    uint64(300 + rng.Intn(1200)),
+		WarmupInstrs: uint64(rng.Intn(200)),
 	}
+	base.ClosedPage = rng.Intn(4) == 0
 	for i := 0; i < n; i++ {
 		spec := SystemSpec{
 			Bench: diffProfiles[rng.Intn(len(diffProfiles))],
@@ -155,10 +158,12 @@ func Minimize(cfg Config) Config {
 		return true
 	})
 	shrink(func(c *Config) bool {
-		if c.Channels <= 1 {
+		if c.Base.Channels <= 1 {
 			return false
 		}
-		c.Channels /= 2
+		base := *c.Base // trials must not share the Base they shrink
+		base.Channels /= 2
+		c.Base = &base
 		return true
 	})
 	shrink(func(c *Config) bool {

@@ -44,13 +44,13 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	r := &run{cfg: cfg, delta: cfg.LinkLatency}
+	sysCfg := cfg.memberConfig()
 	for i, spec := range cfg.Systems {
 		prof, err := workload.ByName(spec.Bench)
 		if err != nil {
 			return Result{}, err
 		}
-		sysCfg := cfg.systemConfig(i)
-		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch && spec.SWPrefetch)
+		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch)
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
 		}
@@ -62,7 +62,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		sh.attach(sys)
 		r.systems = append(r.systems, sh)
 	}
-	mem, err := newMemoryShard(len(cfg.Systems), cfg, len(cfg.Systems))
+	mem, err := newMemoryShard(len(cfg.Systems), sysCfg, cfg.LinkLatency, len(cfg.Systems))
 	if err != nil {
 		return Result{}, err
 	}

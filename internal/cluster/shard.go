@@ -8,7 +8,6 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/memctrl"
 	"memsim/internal/obs"
-	"memsim/internal/policy"
 	"memsim/internal/sim"
 )
 
@@ -192,7 +191,10 @@ type memoryShard struct {
 // owning its first granule.
 const fabricBlockBytes = 64
 
-func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
+// newMemoryShard builds the fabric from the members' configuration,
+// whose channels interleave independently: one channel, with its own
+// arbiter, per physical channel.
+func newMemoryShard(idx int, cfg core.Config, link sim.Time, nsys int) (*memoryShard, error) {
 	engine, err := sim.ParseEngine(cfg.Engine)
 	if err != nil {
 		return nil, err
@@ -200,7 +202,8 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 	ms := &memoryShard{
 		idx:        idx,
 		sched:      sim.NewSchedulerEngine(engine),
-		link:       cfg.LinkLatency,
+		link:       link,
+		capacity:   addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel}.Capacity(),
 		blockBytes: fabricBlockBytes,
 		skew:       skewBlocks * fabricBlockBytes,
 	}
@@ -212,33 +215,19 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 		ms.obs = obs.New(obs.Config{Trace: true, TraceEvents: cfg.Obs.TraceEvents}, ms.sched.Now)
 	}
 
-	geom := addrmap.Geometry{Channels: 1, DevicesPerChannel: cfg.DevicesPerChannel}
-	ms.capacity = geom.Capacity() * uint64(cfg.Channels)
-	chCfg := channel.Config{Geometry: geom, Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
-	for c := 0; c < cfg.Channels; c++ {
-		mapr, err := addrmap.ByName(cfg.Mapping, geom)
-		if err != nil {
-			return nil, err
-		}
-		// Each channel gets a fresh timing-policy instance: rowreuse
-		// tracks per-bank state that must not be shared across channels.
-		ccfg := chCfg
-		ccfg.TimingPol, err = policy.NewTiming(cfg.BankTiming, policy.TimingParams{})
-		if err != nil {
-			return nil, err
-		}
-		chn, err := channel.New(ccfg)
-		if err != nil {
-			return nil, err
-		}
-		arb, err := memctrl.NewArbiter(ms.sched, chn, mapr, nsys)
+	chans, err := core.NewChannels(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for c, ch := range chans {
+		arb, err := memctrl.NewArbiter(ms.sched, ch.Channel, ch.Mapper, nsys)
 		if err != nil {
 			return nil, err
 		}
 		if ms.obs != nil {
-			chn.Observe(ms.obs, c)
+			ch.Channel.Observe(ms.obs, c)
 		}
-		ms.chns = append(ms.chns, chn)
+		ms.chns = append(ms.chns, ch.Channel)
 		ms.arbs = append(ms.arbs, arb)
 	}
 	return ms, nil

@@ -49,7 +49,7 @@ const totalDevices = 8
 // sub-knobs, so an explicit setting always wins over a derived one.
 var knobs = []Knob{
 	knob("ghz", "core clock in GHz", floatV, func(c *Config, v float64) { c.ClockHz = v * 1e9 }),
-	knob("mapping", "address mapping: base, swap or xor", stringV, func(c *Config, v string) { c.Mapping = v }),
+	knob("mapping", "address mapping: "+oneOf(policy.Mappings), stringV, func(c *Config, v string) { c.Mapping = v }),
 	knob("channels", "physical Rambus channels; keeps 8 devices in total unless devices is set", intV,
 		func(c *Config, v int) { c.Channels, c.DevicesPerChannel = v, max(1, totalDevices/max(v, 1)) }),
 	knob("devices", "DRDRAM devices per channel", intV, func(c *Config, v int) { c.DevicesPerChannel = v }),
@@ -62,14 +62,14 @@ var knobs = []Knob{
 	knob("refresh", "model DRAM refresh", boolV, func(c *Config, v bool) { c.Refresh = v }),
 	knob("engine", "event scheduler: calendar or heap", stringV, func(c *Config, v string) { c.Engine = v }),
 	knob("reorder_window", "frfcfs-cap scan window (only with sched_policy frfcfs-cap)", intV, func(c *Config, v int) { c.ReorderWindow = v }),
-	knob("sched_policy", "issue policy: fcfs, frfcfs or frfcfs-cap (window "+strconv.Itoa(policy.DefaultReorderWindow)+
+	knob("sched_policy", "issue policy: "+oneOf(policy.Sched)+" (frfcfs-cap window "+strconv.Itoa(policy.DefaultReorderWindow)+
 		" unless reorder_window is set)", stringV, func(c *Config, v string) {
 		c.SchedPolicy = v
 		if v == "frfcfs-cap" && c.ReorderWindow == 0 {
 			c.ReorderWindow = policy.DefaultReorderWindow
 		}
 	}),
-	knob("bank_timing", "bank timing scheme: flat, tiered or rowreuse", stringV, func(c *Config, v string) { c.BankTiming = v }),
+	knob("bank_timing", "bank timing scheme: "+oneOf(policy.Timings), stringV, func(c *Config, v string) { c.BankTiming = v }),
 	knob("counterfactual", "trace what each alternative policy would decide (needs a trace)", boolV, func(c *Config, v bool) { c.Counterfactual = v }),
 	knob("prefetch", "tuned scheduled region prefetching; false turns prefetching off", boolV, func(c *Config, v bool) {
 		c.Prefetch = PrefetchConfig{}
@@ -78,7 +78,7 @@ var knobs = []Knob{
 		}
 	}),
 	// Every knob below turns on the tuned prefetcher first, as its doc says.
-	knob("prefetch_scheme", "prefetch scheme: region, sequential or stream; turns prefetching on", stringV, func(c *Config, v string) {
+	knob("prefetch_scheme", "prefetch scheme: "+oneOf(policy.Prefetchers)+"; turns prefetching on", stringV, func(c *Config, v string) {
 		tunedPrefetchOn(c)
 		c.Prefetch.Scheme = v
 		if (v == "sequential" || v == "stream") && c.Prefetch.Lookahead == 0 {
@@ -100,6 +100,15 @@ var knobs = []Knob{
 	knob("software_prefetch", "execute software prefetch instructions", boolV, func(c *Config, v bool) { c.SoftwarePrefetch = v }),
 	knob("perfect_l2", "make every L2 access hit", boolV, func(c *Config, v bool) { c.PerfectL2 = v }),
 	knob("perfect_mem", "make every L1 access hit", boolV, func(c *Config, v bool) { c.PerfectMem = v }),
+}
+
+// oneOf lists a registry's scheme names for a knob doc: "a, b or c".
+func oneOf[T any](r *policy.Registry[T]) string {
+	names := r.Names()
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
 }
 
 func tunedPrefetchOn(c *Config) {

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"memsim/internal/harden"
+	"memsim/internal/policy"
 	"memsim/internal/prefetch"
 )
 
@@ -20,6 +22,24 @@ func TestKnobTable(t *testing.T) {
 		seen[k.Name] = true
 		if k.Doc == "" {
 			t.Errorf("knob %q has no doc", k.Name)
+		}
+	}
+}
+
+// TestKnobDocsListRegistries requires every registered scheme in its
+// knob's doc, so a registry addition shows up in every -h.
+func TestKnobDocsListRegistries(t *testing.T) {
+	for name, names := range map[string][]string{
+		"mapping":         policy.Mappings.Names(),
+		"sched_policy":    policy.Sched.Names(),
+		"bank_timing":     policy.Timings.Names(),
+		"prefetch_scheme": policy.Prefetchers.Names(),
+	} {
+		k, _ := LookupKnob(name)
+		for _, scheme := range names {
+			if !strings.Contains(k.Doc, scheme) {
+				t.Errorf("knob %s doc %q omits %s", name, k.Doc, scheme)
+			}
 		}
 	}
 }

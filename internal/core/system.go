@@ -158,14 +158,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	cfg.SchedPolicy = cmp.Or(cfg.SchedPolicy, "fcfs")
 	cfg.Prefetch.Scheme = cmp.Or(cfg.Prefetch.Scheme, "region")
 
-	// Ganged: one controller over an n-wide logical channel.
-	// Independent: n controllers over 1-wide channels.
-	groups := 1
-	groupGeom := addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel}
-	if cfg.Interleaving == "independent" {
-		groups = cfg.Channels
-		groupGeom = addrmap.Geometry{Channels: 1, DevicesPerChannel: cfg.DevicesPerChannel}
-	}
+	groups, groupGeom := channelGroups(cfg)
 
 	l1, err := cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1Size, Assoc: cfg.L1Assoc, BlockBytes: cfg.L1Block})
 	if err != nil {
@@ -190,47 +183,26 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		pfBuf:    make([][]uint64, groups),
 		extMem:   mem,
 	}
-	if mem != nil {
-		// The fabric owns all channel state; build nothing local.
-		groups = 0
-	}
-
-	chCfg := channel.Config{Geometry: groupGeom, Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
-	if cfg.Refresh {
-		// One refresh per ~2us retires all 16K rows of a device within
-		// a 32ms retention period; each costs roughly a row cycle.
-		chCfg.RefreshInterval = 2 * sim.Microsecond
-		chCfg.RefreshDuration = 70 * sim.Nanosecond
-	}
-	for g := 0; g < groups; g++ {
-		mapr, err := policy.NewMapping(cfg.Mapping, groupGeom)
+	if mem == nil {
+		// Without an external fabric the system owns its channels.
+		chans, err := NewChannels(cfg)
 		if err != nil {
 			return nil, err
 		}
-		// Each group gets its own timing-policy instance: schemes with
-		// internal state (the row-reuse table) must not share across
-		// channels.
-		gcfg := chCfg
-		gcfg.TimingPol, err = policy.NewTiming(cfg.BankTiming, policy.TimingParams{})
-		if err != nil {
-			return nil, err
+		for _, ch := range chans {
+			if ch.TimingPol != nil {
+				s.timingPols = append(s.timingPols, ch.TimingPol)
+			}
+			ctrl := memctrl.New(s.sched, ch.Channel, ch.Mapper)
+			pol, err := policy.NewSched(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow})
+			if err != nil {
+				return nil, err
+			}
+			ctrl.SetPolicy(pol)
+			s.maprs = append(s.maprs, ch.Mapper)
+			s.chns = append(s.chns, ch.Channel)
+			s.ctrls = append(s.ctrls, ctrl)
 		}
-		if gcfg.TimingPol != nil {
-			s.timingPols = append(s.timingPols, gcfg.TimingPol)
-		}
-		chn, err := channel.New(gcfg)
-		if err != nil {
-			return nil, err
-		}
-		ctrl := memctrl.New(s.sched, chn, mapr)
-		pol, err := policy.NewSched(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow})
-		if err != nil {
-			return nil, err
-		}
-		ctrl.SetPolicy(pol)
-		s.maprs = append(s.maprs, mapr)
-		s.chns = append(s.chns, chn)
-		s.ctrls = append(s.ctrls, ctrl)
 	}
 
 	if cfg.Prefetch.Enabled {
@@ -278,6 +250,61 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	s.armObs()
 	s.armHarden()
 	return s, nil
+}
+
+// channelGroups returns how many controller groups cfg's channels form
+// and each group's geometry. Ganged: one controller over an n-wide
+// logical channel. Independent: n controllers over 1-wide channels.
+func channelGroups(cfg Config) (int, addrmap.Geometry) {
+	if cfg.Interleaving == "independent" {
+		return cfg.Channels, addrmap.Geometry{Channels: 1, DevicesPerChannel: cfg.DevicesPerChannel}
+	}
+	return 1, addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel}
+}
+
+// MemChannel is one controller group's memory: its address mapper,
+// its channel, and the channel's bank-timing policy (nil under flat
+// timing).
+type MemChannel struct {
+	Mapper    addrmap.Mapper
+	Channel   *channel.Channel
+	TimingPol dram.TimingPolicy
+}
+
+// NewChannels builds the channels of a validated cfg, one per
+// controller group, with its mapping, part, row policy, refresh and
+// bank timing. A System and the cluster's shared fabric both build
+// their channels here, so they model the same memory.
+func NewChannels(cfg Config) ([]MemChannel, error) {
+	groups, geom := channelGroups(cfg)
+	chCfg := channel.Config{Geometry: geom, Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
+	if cfg.Refresh {
+		// One refresh per ~2us retires all 16K rows of a device within
+		// a 32ms retention period; each costs roughly a row cycle.
+		chCfg.RefreshInterval = 2 * sim.Microsecond
+		chCfg.RefreshDuration = 70 * sim.Nanosecond
+	}
+	chans := make([]MemChannel, groups)
+	for g := range chans {
+		mapr, err := policy.NewMapping(cfg.Mapping, geom)
+		if err != nil {
+			return nil, err
+		}
+		// Each group gets its own timing-policy instance: schemes with
+		// internal state (the row-reuse table) must not share across
+		// channels.
+		gcfg := chCfg
+		gcfg.TimingPol, err = policy.NewTiming(cfg.BankTiming, policy.TimingParams{})
+		if err != nil {
+			return nil, err
+		}
+		chn, err := channel.New(gcfg)
+		if err != nil {
+			return nil, err
+		}
+		chans[g] = MemChannel{Mapper: mapr, Channel: chn, TimingPol: gcfg.TimingPol}
+	}
+	return chans, nil
 }
 
 // prefetchParams maps the system config onto the registry's factory

@@ -13,10 +13,10 @@ import (
 )
 
 // ClusterKey is the checkpoint identity of one cluster run: a hash
-// over the defaults-resolved configuration's canonical JSON plus the
-// fields JSON omits (the resolved timing part name and the obs
-// selection). A cluster run is deterministic, so equal keys mean
-// equal results — the same contract SpecKey gives single-system runs.
+// over the configuration's canonical JSON, which carries Base whole,
+// plus the obs selection JSON omits. A cluster run is deterministic,
+// so equal keys mean equal results — the same contract SpecKey gives
+// single-system runs.
 func ClusterKey(cfg cluster.Config) string {
 	b, err := json.Marshal(cfg)
 	if err != nil {
@@ -25,7 +25,7 @@ func ClusterKey(cfg cluster.Config) string {
 		// rather than collisions.
 		b = fmt.Appendf(nil, "unmarshalable:%+v", err)
 	}
-	h := sha256.Sum256(fmt.Appendf(nil, "cluster|%s|part=%s|obs=%+v", b, cfg.Timing.Name, cfg.Obs))
+	h := sha256.Sum256(fmt.Appendf(nil, "cluster|%s|obs=%+v", b, cfg.Obs))
 	return "c" + hex.EncodeToString(h[:8])
 }
 

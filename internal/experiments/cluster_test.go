@@ -6,16 +6,19 @@ import (
 	"testing"
 
 	"memsim/internal/cluster"
+	"memsim/internal/core"
 )
 
 // drillClusterConfig is a small two-system spec for checkpoint tests.
 func drillClusterConfig() cluster.Config {
+	base := core.Base()
+	base.Channels = 1
 	return cluster.Config{
 		Systems: []cluster.SystemSpec{
 			{Bench: "mcf", Seed: 1},
 			{Bench: "swim", Seed: 2},
 		},
-		Channels:     1,
+		Base:         &base,
 		MaxInstrs:    2000,
 		WarmupInstrs: 500,
 	}

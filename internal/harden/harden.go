@@ -106,7 +106,8 @@ func (v *Validator) Range(field string, value, lo, hi int64) {
 }
 
 // Merge absorbs another error into the pass: a *ConfigError
-// contributes its fields under the given prefix, any other error
+// contributes its fields under the given prefix (as they are when the
+// prefix is empty), any other error
 // becomes a single field entry. A nil err is a no-op.
 func (v *Validator) Merge(prefix string, err error) {
 	if err == nil {
@@ -114,8 +115,12 @@ func (v *Validator) Merge(prefix string, err error) {
 	}
 	if ce, ok := err.(*ConfigError); ok {
 		for _, f := range ce.Fields {
+			field := f.Field
+			if prefix != "" {
+				field = prefix + "." + field
+			}
 			v.fields = append(v.fields, &FieldError{
-				Field:  prefix + "." + f.Field,
+				Field:  field,
 				Value:  f.Value,
 				Reason: f.Reason,
 			})
