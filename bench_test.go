@@ -83,6 +83,7 @@ func BenchmarkPolicy(b *testing.B) {
 			if err := cfg.Apply(settings); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gen, err := Workload("swim", 0, false)
 				if err != nil {
@@ -108,6 +109,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg := TunedConfig()
 	cfg.MaxInstrs = 100_000
 	cfg.WarmupInstrs = 0
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		gen, err := Workload("equake", 0, false)
 		if err != nil {

@@ -306,9 +306,13 @@ type Span struct {
 // a zero size yields no spans. The count-based loop is immune to
 // address wraparound near the top of the address space (addresses wrap
 // into capacity through Map).
-func Spans(m Mapper, addr, size uint64) []Span {
+func Spans(m Mapper, addr, size uint64) []Span { return AppendSpans(nil, m, addr, size) }
+
+// AppendSpans is Spans appending to dst, so a caller that keeps a
+// buffer (dst[:0]) decomposes accesses without allocating.
+func AppendSpans(dst []Span, m Mapper, addr, size uint64) []Span {
 	if size == 0 {
-		return nil
+		return dst
 	}
 	g := m.Geometry()
 	unit := g.UnitBytes()
@@ -318,11 +322,11 @@ func Spans(m Mapper, addr, size uint64) []Span {
 		// addr+size wrapped uint64; cover at least the first unit.
 		units = (size + unit - 1) / unit
 	}
-	var spans []Span
+	spans, first := dst, len(dst)
 	for i := uint64(0); i < units; i++ {
 		c := m.Map(start + i*unit)
 		n := len(spans)
-		if n > 0 && spans[n-1].Coord.SameRow(c) && spans[n-1].Coord.Col+spans[n-1].NCols == c.Col {
+		if n > first && spans[n-1].Coord.SameRow(c) && spans[n-1].Coord.Col+spans[n-1].NCols == c.Col {
 			spans[n-1].NCols++
 			continue
 		}

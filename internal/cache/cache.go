@@ -170,8 +170,11 @@ func New(cfg Config) (*Cache, error) {
 		setMask: uint64(cfg.NumSets() - 1),
 		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 	}
+	// One backing array for every set; each set's capacity is capped at
+	// its ways, so a set can never grow into its neighbour.
+	lines := make([]line, cfg.NumSets()*cfg.Assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]line, 0, cfg.Assoc)
+		c.sets[i] = lines[i*cfg.Assoc : i*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return c, nil
 }

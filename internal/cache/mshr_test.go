@@ -6,8 +6,11 @@ import (
 	"memsim/internal/sim"
 )
 
+// fire releases a waiter by invoking its completion.
+func fire(w Waiter, at sim.Time) { w.Done(at, w.Arg) }
+
 func TestMSHRAllocateLookupComplete(t *testing.T) {
-	tb := NewMSHRTable(8)
+	tb := NewMSHRTable(8, fire)
 	if tb.Capacity() != 8 || tb.Len() != 0 || tb.Full() {
 		t.Fatal("fresh table state wrong")
 	}
@@ -20,7 +23,7 @@ func TestMSHRAllocateLookupComplete(t *testing.T) {
 		t.Fatal("Lookup did not find allocated entry")
 	}
 	var fillAt sim.Time
-	m.Waiters = append(m.Waiters, func(at sim.Time) { fillAt = at })
+	m.Waiters = append(m.Waiters, Waiter{Done: func(at sim.Time, arg any) { *arg.(*sim.Time) = at }, Arg: &fillAt})
 	tb.Complete(0x40, 123*sim.Nanosecond)
 	if fillAt != 123*sim.Nanosecond {
 		t.Fatalf("waiter fired with %v, want 123ns", fillAt)
@@ -31,7 +34,7 @@ func TestMSHRAllocateLookupComplete(t *testing.T) {
 }
 
 func TestMSHRMergeSemantics(t *testing.T) {
-	tb := NewMSHRTable(2)
+	tb := NewMSHRTable(2, fire)
 	m := tb.Allocate(0x80, true)
 	if !m.PrefetchOnly {
 		t.Fatal("prefetch allocation not marked")
@@ -39,7 +42,8 @@ func TestMSHRMergeSemantics(t *testing.T) {
 	// A demand miss merging into the prefetch clears PrefetchOnly.
 	m.PrefetchOnly = false
 	n := 0
-	m.Waiters = append(m.Waiters, func(sim.Time) { n++ }, func(sim.Time) { n++ })
+	count := func(sim.Time, any) { n++ }
+	m.Waiters = append(m.Waiters, Waiter{Done: count}, Waiter{Done: count})
 	tb.Complete(0x80, 0)
 	if n != 2 {
 		t.Fatalf("waiters fired %d times, want 2", n)
@@ -47,7 +51,7 @@ func TestMSHRMergeSemantics(t *testing.T) {
 }
 
 func TestMSHRFull(t *testing.T) {
-	tb := NewMSHRTable(2)
+	tb := NewMSHRTable(2, fire)
 	tb.Allocate(0x40, false)
 	tb.Allocate(0x80, false)
 	if !tb.Full() {
@@ -63,7 +67,7 @@ func TestMSHRFull(t *testing.T) {
 }
 
 func TestMSHRAllocateFullPanics(t *testing.T) {
-	tb := NewMSHRTable(1)
+	tb := NewMSHRTable(1, fire)
 	tb.Allocate(0x40, false)
 	defer func() {
 		if recover() == nil {
@@ -74,7 +78,7 @@ func TestMSHRAllocateFullPanics(t *testing.T) {
 }
 
 func TestMSHRDuplicatePanics(t *testing.T) {
-	tb := NewMSHRTable(4)
+	tb := NewMSHRTable(4, fire)
 	tb.Allocate(0x40, false)
 	defer func() {
 		if recover() == nil {
@@ -85,7 +89,7 @@ func TestMSHRDuplicatePanics(t *testing.T) {
 }
 
 func TestMSHRCompleteUnknownPanics(t *testing.T) {
-	tb := NewMSHRTable(4)
+	tb := NewMSHRTable(4, fire)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Complete of unknown block did not panic")
@@ -100,5 +104,46 @@ func TestMSHRZeroCapacityPanics(t *testing.T) {
 			t.Fatal("NewMSHRTable(0) did not panic")
 		}
 	}()
-	NewMSHRTable(0)
+	NewMSHRTable(0, fire)
+}
+
+// TestMSHRRecycledEntryStartsEmpty checks that Complete recycles the
+// entry: the next Allocate reuses it with no waiters left over and
+// the new block and flag.
+func TestMSHRRecycledEntryStartsEmpty(t *testing.T) {
+	tb := NewMSHRTable(1, fire)
+	m := tb.Allocate(0x40, true)
+	m.Waiters = append(m.Waiters, Waiter{Addr: 0x40, Done: func(sim.Time, any) {}})
+	tb.Complete(0x40, 0)
+	r := tb.Allocate(0x80, false)
+	if r != m {
+		t.Fatal("Allocate after Complete did not reuse the freed entry")
+	}
+	if r.Block != 0x80 || r.PrefetchOnly || len(r.Waiters) != 0 {
+		t.Fatalf("recycled entry = %+v, want block 0x80, demand, no waiters", r)
+	}
+}
+
+// TestMSHRReleaseMayAllocate checks that a waiter's release can
+// allocate a new entry without disturbing the entry being completed.
+func TestMSHRReleaseMayAllocate(t *testing.T) {
+	var tb *MSHRTable
+	var released []uint64
+	tb = NewMSHRTable(2, func(w Waiter, at sim.Time) {
+		released = append(released, w.Addr)
+		if w.Addr == 0x40 {
+			e := tb.Allocate(0xc0, false)
+			e.Waiters = append(e.Waiters, Waiter{Addr: 0xc0})
+		}
+	})
+	m := tb.Allocate(0x40, false)
+	m.Waiters = append(m.Waiters, Waiter{Addr: 0x40}, Waiter{Addr: 0x44})
+	tb.Complete(0x40, 0)
+	if len(released) != 2 || released[0] != 0x40 || released[1] != 0x44 {
+		t.Fatalf("released %#x, want [0x40 0x44]", released)
+	}
+	n, ok := tb.Lookup(0xc0)
+	if !ok || n == m || len(n.Waiters) != 1 {
+		t.Fatalf("entry allocated during release = %+v (reused completing entry: %v)", n, n == m)
+	}
 }

@@ -422,6 +422,9 @@ func (ch *Channel) Access(now sim.Time, spans []addrmap.Span, class Class, write
 			self, neighbors := dev.Precharges(c.Bank, c.Row)
 			prechargeDone := (*ready)[c.Bank]
 			for _, nb := range neighbors {
+				if nb == dram.NoBank {
+					continue
+				}
 				t := ch.reserveRow(max(now, (*ready)[nb]))
 				res.Start = min(res.Start, t)
 				done := t + tm.PRER

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"memsim/internal/addrmap"
@@ -55,23 +56,50 @@ type message struct {
 	NeedFirst bool
 }
 
-// msgLess is the canonical merge order: delivery time, then source
+// msgCmp is the canonical merge order: delivery time, then source
 // shard, then per-source sequence. The triple is unique (Seq never
 // repeats within a Src), so the order is total and independent of
 // which goroutine produced which message first.
-func msgLess(a, b message) bool {
-	if a.DeliverAt != b.DeliverAt {
-		return a.DeliverAt < b.DeliverAt
+func msgCmp(a, b message) int {
+	if c := cmp.Compare(a.DeliverAt, b.DeliverAt); c != 0 {
+		return c
 	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
+// msgPool recycles the boxes that carry injected messages through a
+// shard's scheduler to delivery (a sim.Callback argument must be a
+// pointer: boxing a message value allocates). Each shard owns one; it
+// is filled at barriers and drained during the shard's epoch, which
+// never overlap.
+type msgPool struct{ free []*message }
+
+// box returns a pooled copy of m.
+func (p *msgPool) box(m message) *message {
+	var b *message
+	if n := len(p.free); n > 0 {
+		b = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		b = new(message)
+	}
+	*b = m
+	return b
+}
+
+// unbox returns the message b carries and recycles b.
+func (p *msgPool) unbox(b *message) message {
+	m := *b
+	p.free = append(p.free, b)
+	return m
 }
 
 // systemShard wraps one core system: its private scheduler, the
 // pending table mapping request IDs to the live *memctrl.Request
-// closures, and the outbox drained at each barrier. It implements
+// records, and the outbox drained at each barrier. It implements
 // core.ExternalMemory, so the system's miss path lands in Submit.
 type systemShard struct {
 	idx   int
@@ -84,6 +112,7 @@ type systemShard struct {
 	seq     uint64
 	pending map[uint64]*memctrl.Request
 	outbox  []message
+	msgs    msgPool
 
 	deliverCB sim.Callback
 }
@@ -95,7 +124,7 @@ func newSystemShard(idx int, label string, link sim.Time) *systemShard {
 		link:    link,
 		pending: make(map[uint64]*memctrl.Request),
 	}
-	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, arg.(message)) }
+	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, sh.msgs.unbox(arg.(*message))) }
 	return sh
 }
 
@@ -107,11 +136,18 @@ func (sh *systemShard) attach(sys *core.System) {
 }
 
 // Submit implements core.ExternalMemory: park the request in the
-// pending table and post its wire form to the outbox.
+// pending table and post its wire form to the outbox. A request with
+// no callback (a writeback) is released at once: the wire form is all
+// the fabric needs, and its table slot stays nil.
 func (sh *systemShard) Submit(r *memctrl.Request) {
 	id := sh.nextID
 	sh.nextID++
-	sh.pending[id] = r
+	quiet := r.OnFirstData == nil && r.OnComplete == nil
+	if quiet {
+		sh.pending[id] = nil
+	} else {
+		sh.pending[id] = r
+	}
 	sh.post(message{
 		Kind:      msgRequest,
 		Sys:       sh.idx,
@@ -122,6 +158,9 @@ func (sh *systemShard) Submit(r *memctrl.Request) {
 		Write:     r.Write,
 		NeedFirst: r.OnFirstData != nil,
 	})
+	if quiet && r.OnRelease != nil {
+		r.OnRelease(sh.sched.Now(), r.Arg)
+	}
 }
 
 // post stamps and queues an outgoing message; it leaves the shard at
@@ -139,7 +178,7 @@ func (sh *systemShard) post(m message) {
 // scheduler sequence numbers — and therefore same-instant event order
 // — are identical in both engines.
 func (sh *systemShard) inject(m message) {
-	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, m)
+	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, sh.msgs.box(m))
 }
 
 // onDeliver resolves an incoming completion against the pending table.
@@ -151,12 +190,12 @@ func (sh *systemShard) onDeliver(at sim.Time, m message) {
 	switch m.Kind {
 	case msgFirstData:
 		if r.OnFirstData != nil {
-			r.OnFirstData(at)
+			r.OnFirstData(at, r.Arg)
 		}
 	case msgComplete:
 		delete(sh.pending, m.ID)
-		if r.OnComplete != nil {
-			r.OnComplete(at)
+		if r != nil && r.OnComplete != nil {
+			r.OnComplete(at, r.Arg)
 		}
 	default:
 		panic(fmt.Sprintf("cluster: %s: unexpected message kind %d", sh.label, m.Kind))
@@ -178,12 +217,24 @@ type memoryShard struct {
 	obs    *obs.Observer // fabric-level channel/bank lanes (tracing only)
 	seq    uint64
 	outbox []message
+	msgs   msgPool
 
 	capacity   uint64
 	blockBytes uint64
 	skew       uint64
 
-	requestCB sim.Callback
+	// freeReqs recycles arbiter requests; firstCB and completeCB are
+	// their pre-bound callbacks (arg: *fabricReq).
+	freeReqs            []*fabricReq
+	requestCB           sim.Callback
+	firstCB, completeCB sim.Callback
+}
+
+// fabricReq is one system transfer on the fabric: the arbiter request
+// plus the pending-table ID its completions answer to.
+type fabricReq struct {
+	ar memctrl.ArbRequest
+	id uint64
 }
 
 // fabricBlockBytes is the channel-stripe granule. Systems submit
@@ -207,7 +258,16 @@ func newMemoryShard(idx int, cfg core.Config, link sim.Time, nsys int) (*memoryS
 		blockBytes: fabricBlockBytes,
 		skew:       skewBlocks * fabricBlockBytes,
 	}
-	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, arg.(message)) }
+	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, ms.msgs.unbox(arg.(*message))) }
+	ms.firstCB = func(at sim.Time, arg any) {
+		fr := arg.(*fabricReq)
+		ms.post(msgFirstData, fr.ar.Sys, fr.id, at)
+	}
+	ms.completeCB = func(at sim.Time, arg any) {
+		fr := arg.(*fabricReq)
+		ms.post(msgComplete, fr.ar.Sys, fr.id, at)
+		ms.freeReqs = append(ms.freeReqs, fr)
+	}
 	if cfg.Obs.Trace {
 		// The fabric gets its own trace lanes (one channel/bank pair
 		// per physical channel) exported as the "fabric" process next
@@ -235,7 +295,7 @@ func newMemoryShard(idx int, cfg core.Config, link sim.Time, nsys int) (*memoryS
 
 // inject schedules an incoming request's arrival at the fabric.
 func (ms *memoryShard) inject(m message) {
-	ms.sched.AtCall(m.DeliverAt, ms.requestCB, m)
+	ms.sched.AtCall(m.DeliverAt, ms.requestCB, ms.msgs.box(m))
 }
 
 // localAddr compacts a fabric address into its channel's private
@@ -253,19 +313,27 @@ func (ms *memoryShard) localAddr(addr uint64) uint64 {
 func (ms *memoryShard) onRequest(_ sim.Time, m message) {
 	addr := (m.Addr + uint64(m.Sys)*ms.skew) % ms.capacity
 	ch := int(addr / ms.blockBytes % uint64(len(ms.arbs)))
-	sys, id := m.Sys, m.ID
-	ar := &memctrl.ArbRequest{
-		Sys:   sys,
-		Addr:  ms.localAddr(addr),
-		Size:  m.Size,
-		Class: m.Class,
-		Write: m.Write,
+	var fr *fabricReq
+	if n := len(ms.freeReqs); n > 0 {
+		fr = ms.freeReqs[n-1]
+		ms.freeReqs = ms.freeReqs[:n-1]
+	} else {
+		fr = new(fabricReq)
+	}
+	fr.id = m.ID
+	fr.ar = memctrl.ArbRequest{
+		Sys:        m.Sys,
+		Addr:       ms.localAddr(addr),
+		Size:       m.Size,
+		Class:      m.Class,
+		Write:      m.Write,
+		OnComplete: ms.completeCB,
+		Arg:        fr,
 	}
 	if m.NeedFirst {
-		ar.OnFirstData = func(at sim.Time) { ms.post(msgFirstData, sys, id, at) }
+		fr.ar.OnFirstData = ms.firstCB
 	}
-	ar.OnComplete = func(at sim.Time) { ms.post(msgComplete, sys, id, at) }
-	ms.arbs[ch].Submit(ar)
+	ms.arbs[ch].Submit(&fr.ar)
 }
 
 // post queues a completion message back to the owning system.

@@ -54,7 +54,21 @@ type System struct {
 	pfBuf [][]uint64
 
 	mshrs    *cache.MSHRTable
-	inflight map[uint64]*pfFill // prefetch fills in flight, by L2 block
+	inflight map[uint64]*memReq // prefetch fills in flight, by L2 block
+
+	// reqs and writebacks pool the transfer records (see memReq), and
+	// firing is the scratch copy of the waiters a critical word
+	// releases.
+	reqs       pool[memReq]
+	writebacks pool[memctrl.Request]
+	firing     []cache.Waiter
+	// Pre-bound transfer callbacks, so issuing a transfer allocates no
+	// closure: firstDataCB and completeCB take a *memReq,
+	// wbReleaseCB a writeback's own *memctrl.Request.
+	firstDataCB, completeCB, wbReleaseCB sim.Callback
+	// rowOpenFn is rowOpenGlobal bound once, for the bank-aware
+	// prefetch pick.
+	rowOpenFn func(block uint64) bool
 
 	capacity uint64
 
@@ -107,11 +121,56 @@ type System struct {
 	}
 }
 
-// pfFill tracks one in-flight prefetch so demand misses can merge.
-type pfFill struct {
-	demand  bool // a demand miss merged into this fill
-	waiters []func(sim.Time)
+// memReq is one fill the hierarchy has in flight (a demand miss, a
+// prefetch or a software prefetch): the controller request plus the
+// miss state its callbacks need. Records come from the System's pool
+// (newReq) and return to it in their OnComplete. The request carries
+// the record as its callback argument, so the System's pre-bound
+// callbacks serve every record. Writebacks need no miss state: they
+// are bare requests from their own pool, returned by OnRelease when
+// the controller issues them (see newWriteback).
+type memReq struct {
+	req   memctrl.Request
+	kind  reqKind
+	block uint64 // global L2 block (req.Addr may be group-local)
+
+	write   bool           // demand: the miss was a store
+	mshr    *cache.MSHR    // demand: the entry first data releases
+	demand  bool           // prefetch: a demand miss merged into the fill
+	waiters []cache.Waiter // prefetch: the accesses merged into the fill
 }
+
+// pool is a freelist of records that grows a slab of poolSlab records
+// at a time, only when it runs dry. Writebacks can queue behind
+// demand misses for the rest of a run, so their pool may grow all
+// along; slabs keep that to one allocation per poolSlab records.
+type pool[T any] struct{ free []*T }
+
+const poolSlab = 64
+
+func (p *pool[T]) get() *T {
+	if len(p.free) == 0 {
+		slab := make([]T, poolSlab)
+		for i := range slab {
+			p.free = append(p.free, &slab[i])
+		}
+	}
+	n := len(p.free) - 1
+	r := p.free[n]
+	p.free = p.free[:n]
+	return r
+}
+
+func (p *pool[T]) put(r *T) { p.free = append(p.free, r) }
+
+// reqKind is what a memReq transfers.
+type reqKind uint8
+
+const (
+	demandReq reqKind = iota
+	prefetchReq
+	swPrefetchReq
+)
 
 // ExternalMemory is the memory-backend seam: a fabric that resolves
 // block transfers on behalf of the system. Submit receives requests
@@ -177,12 +236,16 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		sched:    sim.NewSchedulerEngine(engine),
 		l1:       l1,
 		l2:       l2,
-		mshrs:    cache.NewMSHRTable(cfg.MSHRs),
-		inflight: make(map[uint64]*pfFill),
+		inflight: make(map[uint64]*memReq),
 		capacity: groupGeom.Capacity() * uint64(groups),
 		pfBuf:    make([][]uint64, groups),
 		extMem:   mem,
 	}
+	s.mshrs = cache.NewMSHRTable(cfg.MSHRs, s.releaseWaiter)
+	s.rowOpenFn = s.rowOpenGlobal
+	s.firstDataCB = func(at sim.Time, arg any) { s.onFirstData(arg.(*memReq), at) }
+	s.completeCB = func(at sim.Time, arg any) { s.onComplete(arg.(*memReq), at) }
+	s.wbReleaseCB = func(_ sim.Time, arg any) { s.writebacks.put(arg.(*memctrl.Request)) }
 	if mem == nil {
 		// Without an external fabric the system owns its channels.
 		chans, err := NewChannels(cfg)
@@ -486,7 +549,7 @@ func (s *System) Snapshot() (Result, error) {
 type hierarchy System
 
 // Access implements cpu.Memory.
-func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)) cpu.Reply {
+func (h *hierarchy) Access(addr uint64, kind trace.Kind, done sim.Callback, arg any) cpu.Reply {
 	s := (*System)(h)
 	addr %= s.capacity
 	now := s.sched.Now()
@@ -530,28 +593,22 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 		return cpu.Reply{Accepted: true, Done: true, At: l2At + s.clock.Cycles(2)}
 	}
 
+	// The fill must install the L1 block and, for a load, complete it.
+	w := cache.Waiter{Addr: addr, Write: write, Done: done, Arg: arg}
+
 	// Merge into an in-flight prefetch: the "late prefetch" case.
 	if fill, ok := s.inflight[block]; ok {
 		fill.demand = true
 		s.tr.Instant(obs.EvLateMerge, 0, block, 0)
 		s.lateMerges++
 		s.notifyPrefetcher(addr)
-		if complete != nil {
-			w := s.fillWaiter(addr, write, complete)
-			fill.waiters = append(fill.waiters, w)
-		} else {
-			fill.waiters = append(fill.waiters, func(sim.Time) { s.fillL1(addr, write) })
-		}
+		fill.waiters = append(fill.waiters, w)
 		return cpu.Reply{Accepted: true}
 	}
 
 	// Merge into an outstanding demand miss.
 	if m, ok := s.mshrs.Lookup(block); ok {
-		if complete != nil {
-			m.Waiters = append(m.Waiters, s.fillWaiter(addr, write, complete))
-		} else {
-			m.Waiters = append(m.Waiters, func(sim.Time) { s.fillL1(addr, write) })
-		}
+		m.Waiters = append(m.Waiters, w)
 		return cpu.Reply{Accepted: true}
 	}
 
@@ -560,54 +617,117 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	}
 
 	m := s.mshrs.Allocate(block, false)
-	if complete != nil {
-		m.Waiters = append(m.Waiters, s.fillWaiter(addr, write, complete))
-	} else {
-		m.Waiters = append(m.Waiters, func(sim.Time) { s.fillL1(addr, write) })
-	}
+	m.Waiters = append(m.Waiters, w)
 
 	s.notifyPrefetcher(addr)
 
-	s.submit(&memctrl.Request{
-		Addr:  block,
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Demand,
-		OnFirstData: func(at sim.Time) {
-			// Critical word: release the waiting loads registered so
-			// far; later merges complete at full-line install.
-			ws := m.Waiters
-			m.Waiters = nil
-			for _, w := range ws {
-				w(at)
-			}
-		},
-		OnComplete: func(at sim.Time) {
-			if s.inj.Tick(inject.DropCompletion) {
-				return // the fill is lost; the MSHR entry leaks
-			}
-			deliver := func() {
-				s.installL2(block, write, false)
-				s.mshrs.Complete(block, at)
-				s.core.Wake()
-			}
-			deliver()
-			s.completions++
-			if s.inj.Tick(inject.DuplicateFill) {
-				// The second Complete panics on the unknown block; Run
-				// recovers it into a CorruptionError.
-				deliver()
-			}
-		},
-	})
+	r := s.newReq(demandReq, block)
+	r.write, r.mshr = write, m
+	s.submit(&r.req)
 	return cpu.Reply{Accepted: true}
 }
 
-// fillWaiter builds the completion action for a demand miss: fill the
-// L1 and release the load.
-func (s *System) fillWaiter(addr uint64, write bool, complete func(sim.Time)) func(sim.Time) {
-	return func(at sim.Time) {
-		s.fillL1(addr, write)
-		complete(at)
+// newReq takes a fill record from the pool and sets it up as a kind
+// transfer of one L2 block at the global address block.
+func (s *System) newReq(kind reqKind, block uint64) *memReq {
+	r := s.reqs.get()
+	r.kind, r.block = kind, block
+	// The callbacks are set afresh on every reuse: a tracking
+	// controller wraps OnComplete at Submit.
+	r.req = memctrl.Request{Addr: block, Size: uint64(s.cfg.L2Block), Arg: r, OnComplete: s.completeCB}
+	switch kind {
+	case demandReq:
+		r.req.Class = channel.Demand
+		r.req.OnFirstData = s.firstDataCB
+	case prefetchReq:
+		r.req.Class = channel.Prefetch
+	case swPrefetchReq:
+		r.req.Class = channel.Demand // software prefetches compete like loads
+	}
+	return r
+}
+
+// freeReq returns a fill record to the pool.
+func (s *System) freeReq(r *memReq) {
+	r.write, r.mshr, r.demand = false, nil, false
+	clear(r.waiters)
+	r.waiters = r.waiters[:0]
+	s.reqs.put(r)
+}
+
+// newWriteback takes a writeback of size bytes at addr from the pool.
+// It has no completion to wait for, so the controller releases it
+// (OnRelease) when it issues; a fabric releases it on submission.
+func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
+	r := s.writebacks.get()
+	*r = memctrl.Request{Addr: addr, Size: uint64(size), Class: channel.Writeback, Write: true, OnRelease: s.wbReleaseCB}
+	r.Arg = r
+	return r
+}
+
+// onFirstData is a demand miss's critical word: it releases the
+// accesses merged so far; later merges complete at full-line install.
+// Releasing one can merge another access into the same entry, so the
+// waiters fire from a copy.
+func (s *System) onFirstData(r *memReq, at sim.Time) {
+	s.firing = append(s.firing[:0], r.mshr.Waiters...)
+	clear(r.mshr.Waiters)
+	r.mshr.Waiters = r.mshr.Waiters[:0]
+	for _, w := range s.firing {
+		s.releaseWaiter(w, at)
+	}
+}
+
+// onComplete is the full-block fill: it installs the block, releases
+// what waits on it, and recycles the record.
+func (s *System) onComplete(r *memReq, at sim.Time) {
+	switch r.kind {
+	case demandReq:
+		if s.inj.Tick(inject.DropCompletion) {
+			return // the fill is lost; the MSHR entry leaks
+		}
+		s.deliverDemand(r.block, r.write, at)
+		s.completions++
+		if s.inj.Tick(inject.DuplicateFill) {
+			// The second Complete panics on the unknown block; Run
+			// recovers it into a CorruptionError.
+			s.deliverDemand(r.block, r.write, at)
+		}
+	case prefetchReq:
+		s.completions++
+		delete(s.inflight, r.block)
+		s.installL2(r.block, false, !r.demand)
+		if r.demand && s.pf != nil {
+			// A late prefetch the demand stream caught up with:
+			// count it as used.
+			s.pf.RecordSettled(true)
+		}
+		for _, w := range r.waiters {
+			s.releaseWaiter(w, at)
+		}
+		s.core.Wake()
+	case swPrefetchReq:
+		s.completions++
+		s.installL2(r.block, false, true)
+		s.mshrs.Complete(r.block, at)
+		s.core.Wake()
+	}
+	s.freeReq(r)
+}
+
+// deliverDemand installs a demand fill and releases its MSHR entry.
+func (s *System) deliverDemand(block uint64, write bool, at sim.Time) {
+	s.installL2(block, write, false)
+	s.mshrs.Complete(block, at)
+	s.core.Wake()
+}
+
+// releaseWaiter completes one access waiting on a fill: fill the L1
+// and, for a load, signal the core.
+func (s *System) releaseWaiter(w cache.Waiter, at sim.Time) {
+	s.fillL1(w.Addr, w.Write)
+	if w.Done != nil {
+		w.Done(at, w.Arg)
 	}
 }
 
@@ -619,12 +739,7 @@ func (s *System) fillL1(addr uint64, write bool) {
 		if !s.l2.MarkDirty(v.Addr) {
 			// The line left the L2 already (non-inclusive corner):
 			// write it back to memory directly.
-			s.submit(&memctrl.Request{
-				Addr:  v.Addr,
-				Size:  uint64(s.cfg.L1Block),
-				Class: channel.Writeback,
-				Write: true,
-			})
+			s.submit(s.newWriteback(v.Addr, s.cfg.L1Block))
 		}
 	}
 }
@@ -654,12 +769,7 @@ func (s *System) installL2(block uint64, dirty, prefetched bool) {
 		s.pf.RecordSettled(false)
 	}
 	if v.Dirty {
-		s.submit(&memctrl.Request{
-			Addr:  v.Addr,
-			Size:  uint64(s.cfg.L2Block),
-			Class: channel.Writeback,
-			Write: true,
-		})
+		s.submit(s.newWriteback(v.Addr, s.cfg.L2Block))
 	}
 }
 
@@ -724,27 +834,10 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 		s.dropPrefetch(block, obs.DropDemandPending)
 		return nil, false
 	}
-	fill := &pfFill{}
-	s.inflight[block] = fill
-	return &memctrl.Request{
-		Addr:  s.localAddr(block),
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Prefetch,
-		OnComplete: func(at sim.Time) {
-			s.completions++
-			delete(s.inflight, block)
-			s.installL2(block, false, !fill.demand)
-			if fill.demand && s.pf != nil {
-				// A late prefetch the demand stream caught up with:
-				// count it as used.
-				s.pf.RecordSettled(true)
-			}
-			for _, w := range fill.waiters {
-				w(at)
-			}
-			s.core.Wake()
-		},
-	}, true
+	r := s.newReq(prefetchReq, block)
+	r.req.Addr = s.localAddr(block)
+	s.inflight[block] = r
+	return &r.req, true
 }
 
 // dropPrefetch records a prefetch candidate discarded before issue.
@@ -776,17 +869,7 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 	}
 	s.swPrefetches++
 	s.mshrs.Allocate(block, true)
-	s.submit(&memctrl.Request{
-		Addr:  block,
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Demand, // software prefetches compete like loads
-		OnComplete: func(at sim.Time) {
-			s.completions++
-			s.installL2(block, false, true)
-			s.mshrs.Complete(block, at)
-			s.core.Wake()
-		},
-	})
+	s.submit(&s.newReq(swPrefetchReq, block).req)
 	return done
 }
 
@@ -816,7 +899,7 @@ func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 	}
 
 	for i := 0; i < maxRoutePull; i++ {
-		block, ok := s.pf.Next(s.rowOpenGlobal)
+		block, ok := s.pf.Next(s.rowOpenFn)
 		if !ok {
 			return nil, false
 		}

@@ -36,10 +36,12 @@ type Reply struct {
 }
 
 // Memory is the interface the core drives. Access initiates a memory
-// operation at the current simulated time; complete (non-nil only for
-// loads) is invoked when data arrives if the reply is not Done.
+// operation at the current simulated time. For loads done is non-nil:
+// when the reply is not Done, the hierarchy invokes done(at, arg) once
+// the data arrives. arg is always a pointer (boxing it allocates
+// nothing), so the completion path needs no per-access closure.
 type Memory interface {
-	Access(addr uint64, kind trace.Kind, complete func(sim.Time)) Reply
+	Access(addr uint64, kind trace.Kind, done sim.Callback, arg any) Reply
 }
 
 // Config parameterizes the core.
@@ -96,11 +98,28 @@ type Stats struct {
 	DroppedPrefetches uint64
 }
 
-// entry is one in-flight instruction.
+// entry is one in-flight instruction: a value slot of the reorder
+// buffer ring, reused once its instruction retires. seq (the dispatch
+// count) identifies the occupant, so a pointer kept past retirement
+// can tell that its slot now holds a younger instruction.
 type entry struct {
 	doneAt     sim.Time // sim.MaxTime while pending
 	op         trace.Op
+	seq        uint64
 	dependents []*entry // dependence-deferred loads waiting on this load
+}
+
+// release is a batch of dependents handed to one scheduled releaseCB
+// event; batches are recycled through the core's freelist.
+type release struct{ deps []*entry }
+
+// access is an operation accepted into the window but refused by the
+// hierarchy. It copies the operation because a blocked store retires
+// (and its ROB slot is reused) before it issues; load is the waiting
+// ROB entry, nil for stores.
+type access struct {
+	op   trace.Op
+	load *entry
 }
 
 // CPU is the core model. Create with New; it schedules itself on the
@@ -112,15 +131,22 @@ type CPU struct {
 	gen   trace.Generator
 
 	// Reorder buffer: a ring of entries, oldest at head.
-	rob   []*entry
+	rob   []entry
 	head  int
 	count int
 
 	// blocked holds accesses accepted into the window but refused by
 	// the hierarchy (MSHRs full), in issue order.
-	blocked []*entry
+	blocked ring
 
-	lastLoad *entry // most recent load, for dependence chaining
+	// lastLoad is the most recent load, for dependence chaining, and
+	// lastLoadSeq its dispatch number: when lastLoad.seq differs, the
+	// load retired and its slot was reused.
+	lastLoad    *entry
+	lastLoadSeq uint64
+
+	// freeRel is the freelist of dependent-release batches.
+	freeRel []*release
 
 	// Instruction stream state.
 	nonMemLeft int
@@ -138,7 +164,8 @@ type CPU struct {
 	// allocating a closure.
 	stepCB    sim.Callback
 	issueCB   sim.Callback // arg: *entry
-	releaseCB sim.Callback // arg: []*entry, dependents to issue
+	releaseCB sim.Callback // arg: *release, dependents to issue
+	loadCB    sim.Callback // arg: *entry, the load whose data arrived
 
 	// credits implements the SustainedIPC dispatch limiter: each cycle
 	// adds SustainedIPC credits (capped at Width) and each dispatched
@@ -169,16 +196,20 @@ func New(sched *sim.Scheduler, mem Memory, gen trace.Generator, cfg Config) (*CP
 		sched: sched,
 		mem:   mem,
 		gen:   gen,
-		rob:   make([]*entry, cfg.ROBSize),
+		rob:   make([]entry, cfg.ROBSize),
 	}
 	c.stepCB = func(sim.Time, any) { c.step() }
 	c.issueCB = func(_ sim.Time, arg any) { c.issue(arg.(*entry)) }
 	c.releaseCB = func(_ sim.Time, arg any) {
-		for _, d := range arg.([]*entry) {
+		r := arg.(*release)
+		for _, d := range r.deps {
 			c.issue(d)
 		}
+		r.deps = r.deps[:0]
+		c.freeRel = append(c.freeRel, r)
 		c.Wake()
 	}
+	c.loadCB = func(at sim.Time, arg any) { c.completeLoad(arg.(*entry), at) }
 	c.armStep(0)
 	return c, nil
 }
@@ -217,12 +248,12 @@ func (c *CPU) IPC() float64 {
 func (c *CPU) DebugState() string {
 	head := "empty"
 	if c.count > 0 {
-		e := c.rob[c.head]
+		e := &c.rob[c.head]
 		head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v dep=%v deferredDeps=%d",
 			e.op.Kind, e.op.Addr, e.doneAt, e.op.DependsOnPrev, len(e.dependents))
 	}
 	return fmt.Sprintf("count=%d blocked=%d exhausted=%v dispatched=%d stepArmed=%v head{%s}",
-		c.count, len(c.blocked), c.exhausted, c.dispatched, c.stepArmed, head)
+		c.count, c.blocked.len(), c.exhausted, c.dispatched, c.stepArmed, head)
 }
 
 // Wake nudges a stalled core, e.g. after the hierarchy frees an MSHR.
@@ -271,54 +302,57 @@ func (c *CPU) nextInstr() (trace.Op, bool, bool) {
 	return c.nextInstr()
 }
 
-// push appends an entry at the ROB tail.
-func (c *CPU) push(e *entry) {
-	c.rob[(c.head+c.count)%c.cfg.ROBSize] = e
-	c.count++
-}
-
 // completeLoad records a load's data arrival and releases dependents.
+// Issuing them cannot add dependents to e (its doneAt is now known), so
+// the list is truncated in place and keeps its backing array.
 func (c *CPU) completeLoad(e *entry, at sim.Time) {
 	e.doneAt = at
-	deps := e.dependents
-	e.dependents = nil
-	for _, d := range deps {
+	for _, d := range e.dependents {
 		c.issue(d)
 	}
+	e.dependents = e.dependents[:0]
 	c.Wake()
 }
 
 // issue sends an entry's memory operation to the hierarchy, or parks it
 // on the blocked list when resources are exhausted.
 func (c *CPU) issue(e *entry) {
-	if len(c.blocked) > 0 {
-		// Preserve issue order behind already-blocked accesses.
-		c.blocked = append(c.blocked, e)
-		return
+	a := access{op: e.op}
+	if e.op.Kind == trace.Load {
+		a.load = e
 	}
-	if !c.tryIssue(e) {
-		c.blocked = append(c.blocked, e)
+	// A non-empty blocked list preserves issue order behind it.
+	if c.blocked.len() > 0 || !c.tryIssue(a) {
+		c.blocked.push(a)
 	}
 }
 
 // tryIssue attempts the access; it reports false on resource rejection.
-func (c *CPU) tryIssue(e *entry) bool {
-	var complete func(sim.Time)
-	if e.op.Kind == trace.Load {
-		complete = func(at sim.Time) { c.completeLoad(e, at) }
+func (c *CPU) tryIssue(a access) bool {
+	e := a.load
+	if e == nil {
+		return c.mem.Access(a.op.Addr, a.op.Kind, nil, nil).Accepted
 	}
-	rep := c.mem.Access(e.op.Addr, e.op.Kind, complete)
+	rep := c.mem.Access(a.op.Addr, a.op.Kind, c.loadCB, e)
 	if !rep.Accepted {
 		return false
 	}
-	if e.op.Kind == trace.Load && rep.Done {
+	if rep.Done {
 		e.doneAt = rep.At
 		// Dependents may have piled up while this load sat deferred or
-		// blocked; release them when its data is available.
+		// blocked; release them when its data is available. The batch
+		// takes over e's list: e can retire, and its slot be reused,
+		// before the release fires.
 		if len(e.dependents) > 0 {
-			deps := e.dependents
-			e.dependents = nil
-			c.sched.AtCall(rep.At, c.releaseCB, deps)
+			var r *release
+			if n := len(c.freeRel); n > 0 {
+				r = c.freeRel[n-1]
+				c.freeRel = c.freeRel[:n-1]
+			} else {
+				r = new(release)
+			}
+			r.deps, e.dependents = e.dependents, r.deps
+			c.sched.AtCall(rep.At, c.releaseCB, r)
 		}
 	}
 	return true
@@ -336,11 +370,9 @@ func (c *CPU) step() {
 
 	// Retire up to Width completed instructions in order.
 	for n := 0; n < c.cfg.Width && c.count > 0; n++ {
-		e := c.rob[c.head]
-		if e.doneAt > now {
+		if c.rob[c.head].doneAt > now {
 			break
 		}
-		c.rob[c.head] = nil
 		c.head = (c.head + 1) % c.cfg.ROBSize
 		c.count--
 		c.stats.Retired++
@@ -352,12 +384,8 @@ func (c *CPU) step() {
 	}
 
 	// Retry blocked accesses in order.
-	for len(c.blocked) > 0 {
-		if !c.tryIssue(c.blocked[0]) {
-			break
-		}
-		c.blocked[0] = nil
-		c.blocked = c.blocked[1:]
+	for c.blocked.len() > 0 && c.tryIssue(c.blocked.front()) {
+		c.blocked.pop()
 	}
 
 	// Dispatch up to Width instructions, throttled by the sustained-IPC
@@ -371,21 +399,29 @@ func (c *CPU) step() {
 	} else {
 		c.credits = limit
 	}
-	for n := 0; n < c.cfg.Width && c.credits >= 1 && c.count < c.cfg.ROBSize && !c.exhausted && len(c.blocked) < c.cfg.StoreBuffer; n++ {
+	for n := 0; n < c.cfg.Width && c.credits >= 1 && c.count < c.cfg.ROBSize && !c.exhausted && c.blocked.len() < c.cfg.StoreBuffer; n++ {
 		c.credits--
 		op, isMem, ok := c.nextInstr()
 		if !ok {
 			break
 		}
 		c.dispatched++
-		e := &entry{doneAt: now + period, op: op}
+		// Take the tail slot; it holds no live instruction.
+		e := &c.rob[(c.head+c.count)%c.cfg.ROBSize]
+		e.doneAt, e.op, e.seq = now+period, op, c.dispatched
+		e.dependents = e.dependents[:0]
 		if isMem {
 			switch op.Kind {
 			case trace.Load:
 				c.stats.Loads++
 				e.doneAt = sim.MaxTime
 				prod := c.lastLoad
-				c.lastLoad = e
+				if prod != nil && prod.seq != c.lastLoadSeq {
+					// The producer retired and a younger instruction
+					// (maybe e itself) took its slot: its data is in.
+					prod = nil
+				}
+				c.lastLoad, c.lastLoadSeq = e, e.seq
 				if op.DependsOnPrev && prod != nil && prod.doneAt > now {
 					if prod.doneAt == sim.MaxTime {
 						// Producer data time unknown; issue on completion.
@@ -403,12 +439,12 @@ func (c *CPU) step() {
 			case trace.SWPrefetch:
 				c.stats.Prefetches++
 				// Prefetches are hints: drop rather than block.
-				if len(c.blocked) > 0 || !c.tryIssue(e) {
+				if c.blocked.len() > 0 || !c.tryIssue(access{op: op}) {
 					c.stats.DroppedPrefetches++
 				}
 			}
 		}
-		c.push(e)
+		c.count++
 	}
 
 	// Finished?
@@ -425,7 +461,7 @@ func (c *CPU) step() {
 	// for the head's known completion; otherwise idle until a callback
 	// wakes us.
 	next := now + period
-	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && len(c.blocked) < c.cfg.StoreBuffer
+	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && c.blocked.len() < c.cfg.StoreBuffer
 	canRetire := c.count > 0 && c.rob[c.head].doneAt <= next
 	switch {
 	case canDispatch || canRetire:
@@ -433,4 +469,33 @@ func (c *CPU) step() {
 	case c.count > 0 && c.rob[c.head].doneAt < sim.MaxTime:
 		c.armStep(c.rob[c.head].doneAt - now)
 	}
+}
+
+// ring is a FIFO of blocked accesses over a circular buffer that
+// doubles when full, so steady-state pushes and pops never allocate.
+type ring struct {
+	buf  []access
+	head int
+	n    int
+}
+
+func (q *ring) len() int      { return q.n }
+func (q *ring) front() access { return q.buf[q.head] }
+
+func (q *ring) push(a access) {
+	if q.n == len(q.buf) {
+		buf := make([]access, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = a
+	q.n++
+}
+
+func (q *ring) pop() {
+	q.buf[q.head] = access{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
 }

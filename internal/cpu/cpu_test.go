@@ -20,7 +20,7 @@ type fixedMemory struct {
 	count   int
 }
 
-func (m *fixedMemory) Access(addr uint64, kind trace.Kind, complete func(sim.Time)) Reply {
+func (m *fixedMemory) Access(addr uint64, kind trace.Kind, done sim.Callback, arg any) Reply {
 	m.count++
 	return Reply{Accepted: true, Done: true, At: m.sched.Now() + m.latency}
 }
@@ -34,20 +34,22 @@ type pendingMemory struct {
 	outstanding    int
 	maxOutstanding int
 	onFree         func()
+	issued         []sim.Time // when each accepted access arrived
 }
 
-func (m *pendingMemory) Access(addr uint64, kind trace.Kind, complete func(sim.Time)) Reply {
+func (m *pendingMemory) Access(addr uint64, kind trace.Kind, done sim.Callback, arg any) Reply {
 	if m.capacity > 0 && m.outstanding >= m.capacity {
 		return Reply{}
 	}
 	m.outstanding++
+	m.issued = append(m.issued, m.sched.Now())
 	if m.outstanding > m.maxOutstanding {
 		m.maxOutstanding = m.outstanding
 	}
 	m.sched.Schedule(m.latency, func() {
 		m.outstanding--
-		if complete != nil {
-			complete(m.sched.Now())
+		if done != nil {
+			done(m.sched.Now(), arg)
 		}
 		if m.onFree != nil {
 			m.onFree()
@@ -250,6 +252,52 @@ func TestDependentLoadOnCompletedProducer(t *testing.T) {
 	// 42 instructions at width 4 dominate; the dependence adds ~3 cycles.
 	if c.Cycles() > 25 {
 		t.Fatalf("cycles = %d, dependence on completed producer over-stalled", c.Cycles())
+	}
+}
+
+// TestDependentLoadOnRecycledProducerSlot checks the ROB ring's
+// ownership rule: once a load retires and a younger instruction takes
+// its slot, a load depending on it issues at dispatch. It must not
+// wait on the slot's new occupant, whether that is a plain instruction
+// completing next cycle or the dependent load itself.
+func TestDependentLoadOnRecycledProducerSlot(t *testing.T) {
+	const lat = 100 * sim.Nanosecond
+	for _, tc := range []struct {
+		name string
+		rob  int
+		// plain is the number of plain instructions between the
+		// producer and the dependent load.
+		plain int
+	}{
+		// ROB of 2: the producer and one plain instruction fill it;
+		// after both retire the dependent load lands in the
+		// producer's slot.
+		{"dependent takes the slot", 2, 1},
+		// ROB of 3: after the producer and two plain instructions
+		// retire, a plain instruction (done next cycle) takes the
+		// producer's slot and the dependent load the third.
+		{"plain instruction takes the slot", 3, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler()
+			mem := &pendingMemory{sched: s, latency: lat}
+			ops := []trace.Op{
+				{Addr: 0x1000, Kind: trace.Load},
+				{NonMem: tc.plain, Addr: 0x2000, Kind: trace.Load, DependsOnPrev: true},
+			}
+			c, err := New(s, mem, trace.NewSlice(ops), Config{Width: 4, ROBSize: tc.rob, StoreBuffer: 4, Clock: testClock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, s, c)
+			// The producer completes at lat; the core's next step
+			// retires it and dispatches the dependent load, which
+			// must reach memory in that same step.
+			want := []sim.Time{0, testClock.NextEdge(lat)}
+			if len(mem.issued) != 2 || mem.issued[0] != want[0] || mem.issued[1] != want[1] {
+				t.Fatalf("accesses issued at %v, want %v", mem.issued, want)
+			}
+		})
 	}
 }
 

@@ -143,20 +143,26 @@ func (d *Device) IsOpen(bank, row int) bool {
 	return d.banks[bank] == int32(row)
 }
 
+// NoBank marks an empty slot of the neighbors Precharges returns.
+const NoBank = -1
+
 // Precharges reports which precharge operations are required before
 // activating row in bank: the bank itself if it is open at another row,
-// and any active adjacent bank (shared sense amps). If the bank is
-// already open at the requested row, no operations are required.
-func (d *Device) Precharges(bank, row int) (self bool, neighbors []int) {
+// and any active adjacent bank (shared sense amps). neighbors[0] is
+// bank-1 and neighbors[1] bank+1 when that neighbor is active, NoBank
+// otherwise. If the bank is already open at the requested row, no
+// operations are required.
+func (d *Device) Precharges(bank, row int) (self bool, neighbors [2]int) {
+	neighbors = [2]int{NoBank, NoBank}
 	if d.IsOpen(bank, row) {
-		return false, nil
+		return false, neighbors
 	}
 	self = d.banks[bank] != closedRow
 	if bank > 0 && d.banks[bank-1] != closedRow {
-		neighbors = append(neighbors, bank-1)
+		neighbors[0] = bank - 1
 	}
 	if bank < len(d.banks)-1 && d.banks[bank+1] != closedRow {
-		neighbors = append(neighbors, bank+1)
+		neighbors[1] = bank + 1
 	}
 	return self, neighbors
 }

@@ -24,12 +24,14 @@ type ArbRequest struct {
 	Class channel.Class
 	// Write marks writebacks (data flows to the devices).
 	Write bool
-	// OnFirstData, if non-nil, fires when the first data packet
-	// completes: the critical word is available.
-	OnFirstData func(sim.Time)
-	// OnComplete, if non-nil, fires when the last data packet
-	// completes: the full block has transferred.
-	OnComplete func(sim.Time)
+	// OnFirstData, if non-nil, fires as OnFirstData(at, Arg) when the
+	// first data packet completes: the critical word is available.
+	OnFirstData sim.Callback
+	// OnComplete, if non-nil, fires as OnComplete(at, Arg) when the
+	// last data packet completes: the full block has transferred.
+	OnComplete sim.Callback
+	// Arg is the callbacks' payload; it must be a pointer.
+	Arg any
 
 	submitted sim.Time
 }
@@ -96,6 +98,8 @@ type Arbiter struct {
 	// decideCB is the pre-bound decision callback, bound once at
 	// construction so arming costs no allocation.
 	decideCB sim.Callback
+	// spans is the reused span buffer of the access being issued.
+	spans []addrmap.Span
 
 	shares []ShareStats
 	queued int
@@ -191,8 +195,8 @@ func (a *Arbiter) decide() {
 	}
 	now := a.sched.Now()
 
-	spans := addrmap.Spans(a.mapper, r.Addr, r.Size)
-	res := a.ch.Access(now, spans, r.Class, r.Write)
+	a.spans = addrmap.AppendSpans(a.spans[:0], a.mapper, r.Addr, r.Size)
+	res := a.ch.Access(now, a.spans, r.Class, r.Write)
 	sh := &a.shares[r.Sys]
 	sh.Issued[r.Class]++
 	sh.DataTime += res.DataTime
@@ -213,5 +217,12 @@ func (a *Arbiter) decide() {
 // fireArbFirstData and fireArbComplete are the completion dispatchers;
 // the event payload carries the *ArbRequest so scheduling allocates
 // nothing.
-func fireArbFirstData(at sim.Time, arg any) { arg.(*ArbRequest).OnFirstData(at) }
-func fireArbComplete(at sim.Time, arg any)  { arg.(*ArbRequest).OnComplete(at) }
+func fireArbFirstData(at sim.Time, arg any) {
+	r := arg.(*ArbRequest)
+	r.OnFirstData(at, r.Arg)
+}
+
+func fireArbComplete(at sim.Time, arg any) {
+	r := arg.(*ArbRequest)
+	r.OnComplete(at, r.Arg)
+}

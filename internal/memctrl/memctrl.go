@@ -30,12 +30,23 @@ type Request struct {
 	Class channel.Class
 	// Write marks writebacks (data flows to the devices).
 	Write bool
-	// OnFirstData, if non-nil, fires when the first data packet
-	// completes: the critical word is available.
-	OnFirstData func(sim.Time)
-	// OnComplete, if non-nil, fires when the last data packet
-	// completes: the full block has transferred.
-	OnComplete func(sim.Time)
+	// OnFirstData, if non-nil, fires as OnFirstData(at, Arg) when the
+	// first data packet completes: the critical word is available.
+	OnFirstData sim.Callback
+	// OnComplete, if non-nil, fires as OnComplete(at, Arg) when the
+	// last data packet completes: the full block has transferred.
+	OnComplete sim.Callback
+	// OnRelease, if non-nil, fires as OnRelease(now, Arg) when a
+	// request with neither callback (a writeback) issues: the backend
+	// keeps no reference past that point, so the submitter may reuse
+	// the request. A request with callbacks is the submitter's again
+	// once its last callback has fired. A tracking controller (see
+	// EnableTracking) gives every request an OnComplete, so there
+	// OnRelease never fires.
+	OnRelease sim.Callback
+	// Arg is the callbacks' payload. Like every sim.Callback argument
+	// it must be a pointer, so storing it allocates nothing.
+	Arg any
 
 	submitted sim.Time
 }
@@ -144,6 +155,9 @@ type Controller struct {
 	// decideCB is the pre-bound decision callback (see sim.Callback),
 	// bound once at construction so arming costs no allocation.
 	decideCB sim.Callback
+	// spans is the reused span buffer of the access being issued; the
+	// channel does not keep it.
+	spans []addrmap.Span
 
 	// pending, when tracking is enabled, counts queued plus in-flight
 	// transfers per block address so the paranoid invariant checker can
@@ -233,11 +247,11 @@ func (c *Controller) HasPending(addr uint64) bool { return c.pending[addr] > 0 }
 // that releases the registration strictly after the original callback
 // runs, so observers between events never see an MSHR entry outlive
 // its transfer accounting.
-func (c *Controller) track(addr uint64, inner func(sim.Time)) func(sim.Time) {
+func (c *Controller) track(addr uint64, inner sim.Callback) sim.Callback {
 	c.pending[addr]++
-	return func(at sim.Time) {
+	return func(at sim.Time, arg any) {
 		if inner != nil {
-			inner(at)
+			inner(at, arg)
 		}
 		if c.pending[addr]--; c.pending[addr] <= 0 {
 			delete(c.pending, addr)
@@ -332,8 +346,8 @@ func (c *Controller) decide() {
 		}
 	}
 
-	spans := addrmap.Spans(c.mapper, r.Addr, r.Size)
-	res := c.ch.Access(now, spans, r.Class, r.Write)
+	c.spans = addrmap.AppendSpans(c.spans[:0], c.mapper, r.Addr, r.Size)
+	res := c.ch.Access(now, c.spans, r.Class, r.Write)
 	c.stats.Issued[r.Class]++
 	if r.Class == channel.Demand {
 		c.stats.DemandLatency += res.FirstData - r.submitted
@@ -348,6 +362,8 @@ func (c *Controller) decide() {
 	}
 	if r.OnComplete != nil {
 		c.sched.AtCall(res.LastData, fireComplete, r)
+	} else if r.OnFirstData == nil && r.OnRelease != nil {
+		r.OnRelease(now, r.Arg)
 	}
 
 	// The next decision may be made once this access's command packets
@@ -363,8 +379,15 @@ func (c *Controller) decide() {
 // scheduling allocates nothing. The fire time equals the scheduled
 // channel-result time (Access never returns past times), matching the
 // timestamps the request callbacks were promised.
-func fireFirstData(at sim.Time, arg any) { arg.(*Request).OnFirstData(at) }
-func fireComplete(at sim.Time, arg any)  { arg.(*Request).OnComplete(at) }
+func fireFirstData(at sim.Time, arg any) {
+	r := arg.(*Request)
+	r.OnFirstData(at, r.Arg)
+}
+
+func fireComplete(at sim.Time, arg any) {
+	r := arg.(*Request)
+	r.OnComplete(at, r.Arg)
+}
 
 // pop removes and returns the next request from the queue as chosen by
 // the issue policy. With a single queued request the policy is not

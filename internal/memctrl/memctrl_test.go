@@ -45,8 +45,8 @@ func TestDemandCompletion(t *testing.T) {
 	var first, last sim.Time
 	c.Submit(&Request{
 		Addr: 0x1000, Size: 64, Class: channel.Demand,
-		OnFirstData: func(at sim.Time) { first = at },
-		OnComplete:  func(at sim.Time) { last = at },
+		OnFirstData: func(at sim.Time, _ any) { first = at },
+		OnComplete:  func(at sim.Time, _ any) { last = at },
 	})
 	s.Run()
 	// Cold bank: ACT + RD + data = 57.5 ns.
@@ -72,7 +72,7 @@ func TestDemandsIssueInOrder(t *testing.T) {
 		i := i
 		c.Submit(&Request{
 			Addr: uint64(i) * 0x100000, Size: 64, Class: channel.Demand,
-			OnFirstData: func(sim.Time) { order = append(order, i) },
+			OnFirstData: func(sim.Time, any) { order = append(order, i) },
 		})
 	}
 	s.Run()
@@ -83,15 +83,52 @@ func TestDemandsIssueInOrder(t *testing.T) {
 	}
 }
 
+// TestReleaseAtIssue checks the request ownership rule: a request with
+// no callback is released, with its Arg, when it issues (its storage
+// is then the submitter's again) and fires no completion event; a
+// request with a completion is not released, and the tracking wrapper
+// keeps its callback and Arg.
+func TestReleaseAtIssue(t *testing.T) {
+	for _, tracked := range []bool{false, true} {
+		s, c := newController(t)
+		if tracked {
+			c.EnableTracking()
+		}
+		var released []any
+		var completed []any
+		release := func(_ sim.Time, arg any) { released = append(released, arg) }
+		wb, demand := new(int), new(int)
+		c.Submit(&Request{Addr: 0x8000, Size: 64, Class: channel.Writeback, Write: true, OnRelease: release, Arg: wb})
+		c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand, OnRelease: release, Arg: demand,
+			OnComplete: func(_ sim.Time, arg any) { completed = append(completed, arg) }})
+		s.Run()
+		if len(completed) != 1 || completed[0] != demand {
+			t.Errorf("tracked=%v: completions carried %v, want the demand's Arg once", tracked, completed)
+		}
+		want := 1
+		if tracked {
+			want = 0 // the tracking wrapper is a completion
+		}
+		if len(released) != want || (want == 1 && released[0] != wb) {
+			t.Errorf("tracked=%v: released %v, want %d release of the writeback's Arg", tracked, released, want)
+		}
+		if events := s.EventsFired(); !tracked && events != 3 {
+			// One decision per request plus the demand's completion;
+			// releasing the writeback schedules nothing.
+			t.Errorf("fired %d events, want 3", events)
+		}
+	}
+}
+
 func TestWritebackYieldsToDemand(t *testing.T) {
 	s, c := newController(t)
 	var events []string
 	// Submit a writeback first, then a demand at the same instant: the
 	// access prioritizer must issue the demand first.
 	c.Submit(&Request{Addr: 0x8000, Size: 64, Class: channel.Writeback, Write: true,
-		OnComplete: func(sim.Time) { events = append(events, "wb") }})
+		OnComplete: func(sim.Time, any) { events = append(events, "wb") }})
 	c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { events = append(events, "demand") }})
+		OnFirstData: func(sim.Time, any) { events = append(events, "demand") }})
 	s.Run()
 	if len(events) != 2 || events[0] != "demand" {
 		t.Fatalf("events = %v, want demand first", events)
@@ -103,11 +140,11 @@ func TestPrefetchOnlyWhenIdle(t *testing.T) {
 	var prefetchAt, demandDone sim.Time
 	src := &queueSource{reqs: []*Request{{
 		Addr: 0x2000, Size: 64, Class: channel.Prefetch,
-		OnComplete: func(at sim.Time) { prefetchAt = at },
+		OnComplete: func(at sim.Time, _ any) { prefetchAt = at },
 	}}}
 	c.SetPrefetchSource(src)
 	c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand,
-		OnComplete: func(at sim.Time) { demandDone = at }})
+		OnComplete: func(at sim.Time, _ any) { demandDone = at }})
 	s.Run()
 	if prefetchAt == 0 {
 		t.Fatal("prefetch never issued")
@@ -127,7 +164,7 @@ func TestDemandBypassesQueuedPrefetches(t *testing.T) {
 		i := i
 		reqs = append(reqs, &Request{
 			Addr: 0x100000 + uint64(i)*64, Size: 64, Class: channel.Prefetch,
-			OnComplete: func(sim.Time) { order = append(order, "pf") },
+			OnComplete: func(sim.Time, any) { order = append(order, "pf") },
 		})
 	}
 	src := &queueSource{reqs: reqs}
@@ -136,7 +173,7 @@ func TestDemandBypassesQueuedPrefetches(t *testing.T) {
 	// Let two prefetches go, then inject a demand.
 	s.Schedule(100*sim.Nanosecond, func() {
 		c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand,
-			OnFirstData: func(sim.Time) { order = append(order, "demand") }})
+			OnFirstData: func(sim.Time, any) { order = append(order, "demand") }})
 	})
 	s.Run()
 	// The demand must not be last: prefetches queued behind it at
@@ -162,10 +199,10 @@ func TestUnscheduledPrefetchSharesDemandQueue(t *testing.T) {
 	var order []string
 	for i := 0; i < 5; i++ {
 		c.Submit(&Request{Addr: 0x200000 + uint64(i)*4096, Size: 64, Class: channel.Prefetch,
-			OnComplete: func(sim.Time) { order = append(order, "pf") }})
+			OnComplete: func(sim.Time, any) { order = append(order, "pf") }})
 	}
 	c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "demand") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "demand") }})
 	s.Run()
 	if order[len(order)-1] != "demand" {
 		t.Fatalf("order = %v; unscheduled prefetches must delay the demand", order)
@@ -182,7 +219,7 @@ func TestKickWakesIdleController(t *testing.T) {
 	c.SetPrefetchSource(src)
 	s.Run() // nothing pending; controller idle
 	src.reqs = append(src.reqs, &Request{Addr: 0x3000, Size: 64, Class: channel.Prefetch,
-		OnComplete: func(sim.Time) { done = true }})
+		OnComplete: func(sim.Time, any) { done = true }})
 	c.Kick()
 	s.Run()
 	if !done {

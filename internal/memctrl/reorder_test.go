@@ -33,14 +33,14 @@ func TestReorderPrefersOpenRow(t *testing.T) {
 	var order []string
 	// Prime: open row 0 of bank 0 with an initial access.
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "prime") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "prime") }})
 	// Queue a row-conflicting request, then a row-hit one, at the same
 	// instant. With reordering the row hit goes first.
 	conflict := uint64(dram.RowBytes) * dram.BanksPerDevice // same bank, next row
 	c.Submit(&Request{Addr: conflict, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "conflict") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "conflict") }})
 	c.Submit(&Request{Addr: 512, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "hit") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "hit") }})
 	s.Run()
 	if len(order) != 3 || order[1] != "hit" {
 		t.Fatalf("order = %v, want the open-row request promoted", order)
@@ -54,12 +54,12 @@ func TestInOrderByDefault(t *testing.T) {
 	s, c, _ := newReorderController(t, nil)
 	var order []string
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "prime") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "prime") }})
 	conflict := uint64(dram.RowBytes) * dram.BanksPerDevice
 	c.Submit(&Request{Addr: conflict, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "conflict") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "conflict") }})
 	c.Submit(&Request{Addr: 512, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "hit") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "hit") }})
 	s.Run()
 	if len(order) != 3 || order[1] != "conflict" {
 		t.Fatalf("order = %v, want strict submission order", order)
@@ -73,16 +73,16 @@ func TestReorderWindowBounded(t *testing.T) {
 	s, c, _ := newReorderController(t, FRFCFS{Window: 2})
 	var order []string
 	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "prime") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "prime") }})
 	conflict := uint64(dram.RowBytes) * dram.BanksPerDevice
 	// Two conflicts ahead of the row hit: with window 2 the hit (at
 	// queue position 2) is out of reach for the first decision.
 	c.Submit(&Request{Addr: conflict, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "c1") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "c1") }})
 	c.Submit(&Request{Addr: conflict + 1024, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "c2") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "c2") }})
 	c.Submit(&Request{Addr: 512, Size: 64, Class: channel.Demand,
-		OnFirstData: func(sim.Time) { order = append(order, "hit") }})
+		OnFirstData: func(sim.Time, any) { order = append(order, "hit") }})
 	s.Run()
 	if order[1] != "c1" {
 		t.Fatalf("order = %v; request beyond the window must not be promoted", order)

@@ -172,6 +172,9 @@ type Engine struct {
 	cfg   Config
 	queue []*region // index 0 = highest issue priority
 	index map[uint64]*region
+	// free holds regions replaced or retired, bitmaps included, for
+	// reuse by the next region created.
+	free []*region
 
 	// Accuracy throttle state.
 	windowUsed, windowSettled int
@@ -239,12 +242,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	}
 
 	n := e.cfg.BlocksPerRegion()
-	r := &region{
-		base:   base,
-		bitmap: make([]uint64, (n+63)/64),
-		start:  e.blockIndex(addr),
-		scan:   1,
-	}
+	r := e.newRegion(base, e.blockIndex(addr))
 	r.pending = n
 	r.markDone(r.start)
 	for i := 0; i < n; i++ {
@@ -260,6 +258,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	if r.pending == 0 {
 		// Everything else already cached; nothing to queue.
 		e.stats.RegionsCompleted++
+		e.free = append(e.free, r)
 		return
 	}
 
@@ -278,6 +277,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 		delete(e.index, victim.base)
 		e.tr.Instant(obs.EvRegionReplace, 0, victim.base, 0)
 		e.stats.RegionsReplaced++
+		e.free = append(e.free, victim)
 	}
 
 	if e.cfg.Policy == FIFO {
@@ -292,6 +292,21 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	e.index[base] = r
 }
 
+// newRegion returns a region entry for base with a clean bitmap,
+// reusing a freed entry when one is available.
+func (e *Engine) newRegion(base uint64, start int) *region {
+	var r *region
+	if n := len(e.free); n > 0 {
+		r = e.free[n-1]
+		e.free = e.free[:n-1]
+		clear(r.bitmap)
+	} else {
+		r = &region{bitmap: make([]uint64, (e.cfg.BlocksPerRegion()+63)/64)}
+	}
+	r.base, r.start, r.scan, r.pending = base, start, 1, 0
+	return r
+}
+
 // promote moves r to the head of the queue.
 func (e *Engine) promote(r *region) {
 	for i, q := range e.queue {
@@ -303,7 +318,7 @@ func (e *Engine) promote(r *region) {
 	}
 }
 
-// retire removes r from the queue.
+// retire removes r from the queue and frees it for reuse.
 func (e *Engine) retire(r *region, completed bool) {
 	for i, q := range e.queue {
 		if q == r {
@@ -312,6 +327,7 @@ func (e *Engine) retire(r *region, completed bool) {
 		}
 	}
 	delete(e.index, r.base)
+	e.free = append(e.free, r)
 	if completed {
 		e.stats.RegionsCompleted++
 	}
@@ -362,11 +378,12 @@ func (e *Engine) Next(rowOpen func(block uint64) bool) (blockAddr uint64, ok boo
 		return e.Next(rowOpen)
 	}
 	pick.markDone(i)
+	block := pick.base + uint64(i*e.cfg.BlockBytes)
 	if pick.pending == 0 {
 		e.retire(pick, true)
 	}
 	e.stats.Issued++
-	return pick.base + uint64(i*e.cfg.BlockBytes), true
+	return block, true
 }
 
 // RecordSettled feeds the accuracy throttle: the caller reports each
@@ -415,6 +432,11 @@ func (e *Engine) CheckIntegrity() error {
 		if zeros != r.pending {
 			return fmt.Errorf("prefetch: queue[%d] base %#x pending=%d but bitmap has %d zero bits",
 				qi, r.base, r.pending, zeros)
+		}
+	}
+	for _, r := range e.free {
+		if e.index[r.base] == r {
+			return fmt.Errorf("prefetch: freed region %#x still indexed", r.base)
 		}
 	}
 	return nil

@@ -372,3 +372,64 @@ func TestPropertyRegionConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRecycledRegionStartsClean checks region reuse: a region freed by
+// replacement or by retirement comes back for a later miss with only
+// that miss's block marked, and CheckIntegrity holds throughout.
+func TestRecycledRegionStartsClean(t *testing.T) {
+	const size = 512 // 8 blocks of 64 bytes
+	e := newEngine(t, Config{RegionBytes: size, BlockBytes: 64, QueueDepth: 1, Policy: LIFO})
+	check := func(when string) {
+		t.Helper()
+		if err := e.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	// fresh asserts the queued region is want, covers base and has only
+	// the miss at block start marked.
+	fresh := func(when string, base uint64, start int, want *region) {
+		t.Helper()
+		check(when)
+		r := e.queue[0]
+		if r != want {
+			t.Fatalf("%s: freed region not reused", when)
+		}
+		if r.base != base || r.start != start || r.pending != 7 {
+			t.Fatalf("%s: region base=%#x start=%d pending=%d, want %#x, %d, 7", when, r.base, r.start, r.pending, base, start)
+		}
+		for i := 0; i < 8; i++ {
+			if r.done(i) != (i == start) {
+				t.Fatalf("%s: block %d done=%v, want only block %d marked", when, i, r.done(i), start)
+			}
+		}
+	}
+
+	e.OnDemandMiss(0, noneResident)
+	first := e.queue[0]
+	for i := 0; i < 3; i++ {
+		if _, ok := e.Next(nil); !ok {
+			t.Fatal("Next found nothing in a fresh region")
+		}
+	}
+	check("after issuing three blocks")
+
+	// Replacement: the depth-1 queue drops the partly issued region,
+	// and the miss after next gets it back.
+	e.OnDemandMiss(size, noneResident)
+	check("after replace")
+	e.OnDemandMiss(2*size+2*64, noneResident)
+	fresh("after replace and reuse", 2*size, 2, first)
+
+	// Retirement: issue every block, then a miss elsewhere reuses it.
+	for {
+		if _, ok := e.Next(nil); !ok {
+			break
+		}
+	}
+	if e.QueueLen() != 0 {
+		t.Fatalf("queue holds %d regions after draining", e.QueueLen())
+	}
+	check("after retire")
+	e.OnDemandMiss(4*size+5*64, noneResident)
+	fresh("after retire and reuse", 4*size, 5, first)
+}

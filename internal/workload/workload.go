@@ -163,7 +163,10 @@ type generator struct {
 
 	streamCur []uint64 // per-stream byte offsets within the stream span
 	chaseSpan uint64
-	pending   []trace.Op
+	// pending queues follow-up ops ahead of fresh ones, from index
+	// head; it rewinds to empty once drained, so it never regrows.
+	pending []trace.Op
+	head    int
 
 	nonMemMax int // uniform [0, nonMemMax] non-memory instructions per op
 }
@@ -216,9 +219,12 @@ func (g *generator) streamBase(s int) uint64 {
 
 // Next implements trace.Generator. The stream never ends.
 func (g *generator) Next() (trace.Op, bool) {
-	if len(g.pending) > 0 {
-		op := g.pending[0]
-		g.pending = g.pending[1:]
+	if g.head < len(g.pending) {
+		op := g.pending[g.head]
+		g.head++
+		if g.head == len(g.pending) {
+			g.pending, g.head = g.pending[:0], 0
+		}
 		return op, true
 	}
 

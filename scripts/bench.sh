@@ -9,9 +9,11 @@
 #   scripts/bench.sh -o BENCH_pr.json -c BENCH_baseline.json
 #
 # No make, no external tooling: POSIX sh + go + awk. The output
-# captures ns/op and any custom metrics (e.g. instrs/s, events/s) per
-# benchmark, plus enough provenance (go version, git revision) to
-# interpret a baseline later. Benchmarks come from the experiments
+# captures ns/op, heap allocations per op (bytes_per_op,
+# allocs_per_op: every leg runs with -benchmem) and any custom metrics
+# (e.g. instrs/s, events/s) per benchmark, plus enough provenance (go
+# version, git revision) to interpret a baseline later. The -c gate
+# compares ns/op only. Benchmarks come from the experiments
 # package at the repo root and the scheduler microbenchmarks in
 # internal/sim.
 #
@@ -58,10 +60,10 @@ lint_benchtime='2000x'
 # multi-system run, so like the experiment benchmarks one iteration is
 # a stable sample.
 cluster_benchtime='1x'
-raw=$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count 1 .
-      go test -run '^$' -bench "$pattern" -benchtime "$sim_benchtime" -count 1 ./internal/sim
-      go test -run '^$' -bench "$pattern" -benchtime "$lint_benchtime" -count 1 ./internal/lint/dataflow
-      go test -run '^$' -bench "$pattern" -benchtime "$cluster_benchtime" -count 1 ./internal/cluster)
+raw=$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem -count 1 .
+      go test -run '^$' -bench "$pattern" -benchtime "$sim_benchtime" -benchmem -count 1 ./internal/sim
+      go test -run '^$' -bench "$pattern" -benchtime "$lint_benchtime" -benchmem -count 1 ./internal/lint/dataflow
+      go test -run '^$' -bench "$pattern" -benchtime "$cluster_benchtime" -benchmem -count 1 ./internal/cluster)
 
 printf '%s\n' "$raw" | awk -v goversion="$goversion" -v rev="$rev" -v stamp="$stamp" '
 BEGIN {
@@ -73,9 +75,13 @@ BEGIN {
   sub(/-[0-9]+$/, "", name)
   if (n++) printf ","
   printf "\n  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, $2, $3
-  # Custom metrics follow as value/unit pairs.
-  for (i = 5; i + 1 <= NF; i += 2)
-    printf ", \"%s\": %s", $(i + 1), $i
+  # Custom metrics and the -benchmem pair follow as value/unit pairs.
+  for (i = 5; i + 1 <= NF; i += 2) {
+    unit = $(i + 1)
+    if (unit == "B/op") unit = "bytes_per_op"
+    if (unit == "allocs/op") unit = "allocs_per_op"
+    printf ", \"%s\": %s", unit, $i
+  }
   printf "}"
 }
 END { printf "\n ]\n}\n" }
